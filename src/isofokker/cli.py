@@ -20,7 +20,7 @@ from .darboux import build_chain, partner_drift, partner_pdf
 from .evolve import FpeSolution, TemporalRule, evolve_pdf, moments, project, truncation_residual
 from .grid import GridFunction, integrate, make_grid, sample, sup_diff, write_csv
 from .isospectral import IsoParams, iso_pdf, reinstate
-from .mittag import mittag_leffler
+from .mittag import mittag_leffler, ml_relaxation
 from .oracle import CnConfig, cn_evolve, gl_residual
 from .scenarios import box_scenario, custom_drift, ou_scenario, schwarzschild_potential
 from .spectral import build_hamiltonian, solve_spectrum
@@ -318,8 +318,8 @@ def cmd_ml(cfg) -> int:
         raise UsageError("need at least 2 table points")
     zs = np.linspace(zmin, zmax, steps)
     try:
-        vals = [mittag_leffler(alpha, float(z)) for z in zs]
-    except ValueError as exc:
+        vals = ml_relaxation(alpha, -zs, 1.0)  # E_alpha(z): the factor at rate -z and t = 1
+    except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc)) from exc
     out = _ensure_out(str(cfg["out"]))
     path = os.path.join(out, "mittag_leffler.csv")

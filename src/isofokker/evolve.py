@@ -53,7 +53,13 @@ class TemporalRule:
         return ml_relaxation(self.alpha, eps, t)
 
     def factors(self, energies, t: float) -> np.ndarray:
-        return np.array([self.factor(float(e), t) for e in np.asarray(energies)])
+        """factor() for every rate in ``energies`` at once."""
+        eps = np.asarray(energies, dtype=float)
+        if self.kind == "classical":
+            return np.exp(-eps * t)
+        if np.any(eps < -1e-8):
+            raise ValueError(f"negative relaxation rate {eps.min()}")
+        return ml_relaxation(self.alpha, np.maximum(eps, 0.0), t)  # snaps numerical zero modes
 
 
 @dataclass(frozen=True, eq=False)

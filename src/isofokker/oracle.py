@@ -160,7 +160,7 @@ def gl_residual(
         raise ValueError("need 0 < dt < t_end")
     m = int(round(t_end / dt))
     ts = np.arange(m + 1) * dt
-    T = np.array([ml_relaxation(alpha, eps, t) for t in ts])
+    T = ml_relaxation(alpha, eps, ts)
     mu = 1.0 - alpha
     w = _gl_weights(mu, m)
     frac = np.convolve(w, T)[: m + 1] * dt ** (-mu)

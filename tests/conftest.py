@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+import isofokker.mittag as mittag
 from isofokker import (
     build_chain,
     build_hamiltonian,
@@ -39,7 +42,44 @@ def gaussian_ic(ou_grid):
     return sample(ou_grid, lambda x: np.exp(-((x - 2.0) ** 2)) / math.sqrt(math.pi))
 
 
+@pytest.fixture
+def coarse_ml_rule(monkeypatch):
+    """Swap in Mittag-Leffler contour rules too coarse to pass the convergence guard."""
+    monkeypatch.setattr(mittag, "_RULE", mittag._half_rule(8))
+    monkeypatch.setattr(mittag, "_GUARD_RULE", mittag._half_rule(6))
+
+
 def align_sign(candidate, reference):
     """Flip candidate's sign to best match reference (states are defined up to sign)."""
     dot = float(candidate.values @ reference.values)
     return -candidate if dot < 0 else candidate
+
+
+def ml_series_reference(alpha: float, z: float) -> float:
+    """E_alpha(z) from its power series in arbitrary precision.
+
+    The largest term is ~exp(|z|^(1/alpha)), so the working precision carries
+    that many digits on top of the 30 kept; only moderate |z|^(1/alpha) is
+    affordable.  For alpha = p/q, Gamma(alpha (k + q) + 1) =
+    Gamma(alpha k + 1) (alpha k + 1) ... (alpha k + p), so the terms follow
+    from q Gamma values by recurrence.
+    """
+    ratio = Fraction(alpha).limit_denominator(1000)
+    if float(ratio) != alpha:
+        raise ValueError(f"alpha = {alpha} is not p/q with q <= 1000")
+    p, q = ratio.numerator, ratio.denominator
+    loss = abs(z) ** (1.0 / alpha) / math.log(10.0)
+    with mpmath.workdps(30 + int(loss)):
+        a, x = mpmath.mpf(p) / q, mpmath.mpf(z)
+        tiny = mpmath.mpf(10) ** -30
+        terms = [x**k / mpmath.gamma(a * k + 1) for k in range(q)]
+        total = mpmath.fsum(terms)
+        xq = x**q
+        k = 0
+        while True:
+            term = terms[k] * xq / mpmath.fprod(a * k + j for j in range(1, p + 1))
+            terms.append(term)
+            total += term
+            if abs(term) < tiny:
+                return float(total)
+            k += 1

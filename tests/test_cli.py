@@ -131,6 +131,11 @@ class TestMlCommand:
         )
         assert rc == 1
 
+    def test_guard_failure_reported_as_error(self, capsys, tmp_path, coarse_ml_rule):
+        rc, _, err = run_cli(capsys, "ml", "--alpha", "0.5", "--out", str(tmp_path))
+        assert rc == 1
+        assert err.startswith("error:") and "differ" in err
+
 
 class TestBlackholeCommand:
     def test_potential_table(self, capsys, tmp_path):

@@ -48,6 +48,23 @@ class TestTemporalRule:
         for t in (0.0, 1.0, 1e3):
             assert rule.factor(0.0, t) == 1.0
 
+    @pytest.mark.parametrize(
+        "rule", [TemporalRule.classical(), TemporalRule.fractional(0.3), TemporalRule.fractional(0.75)]
+    )
+    def test_factors_match_per_mode_factor(self, rule):
+        energies = np.array([0.0, 0.5, 1.0, 2.0, 7.0, 40.0])
+        for t in (0.0, 0.01, 1.0, 25.0):
+            per_mode = [rule.factor(float(e), t) for e in energies]
+            assert np.max(np.abs(rule.factors(energies, t) - per_mode)) <= 1e-14
+
+    def test_factors_snap_numerical_zero_modes(self):
+        rule = TemporalRule.fractional(0.5)
+        for t in (0.0, 0.5, 1e2, 1e4):
+            tau = rule.factors([0.0, -5e-9, -1e-12, 1.0], t)
+            assert np.all(tau[:3] == 1.0)
+        with pytest.raises(ValueError, match="negative relaxation rate"):
+            rule.factors([0.0, -2e-8, 1.0], 1.0)
+
 
 class TestProject:
     def test_stationary_projects_to_unit_vector(self, ou_spectrum):

@@ -1,16 +1,67 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, erfcx, rgamma
 
-from isofokker.mittag import (
-    _asymptotic_tail,
-    mittag_leffler,
-    ml_integral,
-    ml_relaxation,
-    ml_series,
-)
+from conftest import ml_series_reference
+from isofokker.mittag import mittag_leffler, ml_relaxation
+
+
+def _asymptotic_tail(alpha: float, x: float, max_terms: int = 60) -> tuple[float, float]:
+    """Optimally truncated tail sum of E_alpha(-x); returns (value, size of smallest kept term)."""
+    total = 0.0
+    last = math.inf
+    smallest = math.inf
+    for m in range(1, max_terms + 1):
+        term = (-1.0) ** (m + 1) * x ** (-m) * rgamma(1.0 - alpha * m)
+        mag = abs(term)
+        if mag == 0.0:  # exact zero at a Gamma pole, not the divergence floor
+            continue
+        if mag >= last:
+            break
+        total += term
+        last = mag
+        smallest = mag
+    return total, smallest
+
+
+def _spectral_reference(alpha: float, x: float) -> float:
+    """E_alpha(-x) for 0 < alpha < 1 by mpmath quadrature of its real-line representation.
+
+    E_alpha(-x) = sin(alpha pi) / (alpha pi x) int_0^inf e^(-v^(1/alpha)) / Q(v/x) dv
+    with Q(w) = w^2 + 2 cos(alpha pi) w + 1 (Gorenflo, Loutchko & Luchko 2002,
+    with u = v^(1/alpha)).  The interval is split at the minimum of Q.
+    """
+    with mpmath.workdps(30):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        c = mpmath.cos(mpmath.pi * a)
+
+        def f(v):
+            w = v / x
+            return mpmath.exp(-(v ** (1 / a))) / (w * w + 2 * c * w + 1)
+
+        split = -c * x if c < 0 else mpmath.mpf(1)
+        integral = mpmath.quad(f, [0, split, mpmath.inf])
+        return float(mpmath.sin(mpmath.pi * a) / (a * mpmath.pi * x) * integral)
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, rather than hang, if a call runs past the given seconds."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("evaluation ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TestMittagLeffler:
@@ -34,29 +85,88 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5, 0.8, 0.9])
     def test_branch_overlap_window(self, alpha):
-        # both branches live on z in [-6, -4]; they must agree closely
+        # z in [-6, -4] straddles |z| = 5, where the series and quadrature
+        # branches of the earlier evaluator met; the arbitrary-precision
+        # series is an independent reference
         for z in np.linspace(-6.0, -4.0, 11):
-            assert abs(ml_series(alpha, z) - ml_integral(alpha, z)) <= 1e-9
+            assert abs(mittag_leffler(alpha, z) - ml_series_reference(alpha, z)) <= 1e-9
 
     def test_integral_matches_asymptotic_far_out(self):
         for alpha in (0.25, 0.5, 0.75):
-            val = ml_integral(alpha, -200.0)
+            val = mittag_leffler(alpha, -200.0)
             tail, smallest = _asymptotic_tail(alpha, 200.0)
             assert abs(val - tail) <= max(1e-12, 10.0 * smallest)
+
+    def test_deep_cancellation_series(self):
+        # the power series loses ~15 digits here in float64; the contour
+        # integral has no such cancellation
+        assert mittag_leffler(0.5, -6.0) == pytest.approx(math.exp(36.0) * erfc(6.0), rel=1e-12)
 
     def test_positive_argument_rejected(self):
         with pytest.raises(ValueError, match="non-positive"):
             mittag_leffler(0.5, 0.1)
+        with pytest.raises(ValueError, match="non-positive"):
+            mittag_leffler(0.5, [-1.0, 0.1])
+        with pytest.raises(ValueError, match="non-positive"):
+            mittag_leffler(0.5, math.nan)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
     def test_alpha_out_of_range_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             mittag_leffler(alpha, -1.0)
 
-    def test_deep_cancellation_series(self):
-        # float64 summation alone loses ~15 digits here; the escalated
-        # series must still match the identity
-        assert ml_series(0.5, -6.0) == pytest.approx(math.exp(36.0) * erfc(6.0), rel=1e-12)
+    def test_array_matches_scalar_calls(self):
+        zs = -np.logspace(-2, 3, 7).reshape(7, 1) * np.ones((1, 2))
+        vals = mittag_leffler(0.6, zs)
+        assert vals.shape == zs.shape
+        assert isinstance(mittag_leffler(0.6, -1.0), float)
+        for z, v in zip(zs.ravel(), vals.ravel()):
+            assert v == pytest.approx(mittag_leffler(0.6, float(z)), abs=1e-14)
+
+
+class TestRangeRegressions:
+    """Points of the documented range where the earlier evaluator raised, crawled or hung."""
+
+    @pytest.mark.parametrize(
+        "alpha, z",
+        [
+            (0.1, -3.0),  # raised ValueError (series precision cap)
+            (0.1, -2.0),  # took ~54 s in an arbitrary-precision series
+            (0.95, -700.0),  # ran for ~18 s in the series branch
+            (0.8355, -5.598),  # false ArithmeticError from the asymptotic cross-check
+        ],
+    )
+    def test_fast_and_accurate(self, alpha, z, deadline):
+        deadline(1.0)
+        value = mittag_leffler(alpha, z)
+        deadline(0)
+        assert abs(value - _spectral_reference(alpha, -z)) <= 1e-10
+
+    def test_sweep_against_references(self):
+        # alpha in [0.05, 1], z in [-1e4, 0]: the 1e-10 contract against
+        # exp, erfcx and the series, and complete monotonicity (values in
+        # [0, 1], never increasing with |z|)
+        xs = np.concatenate([[0.0], np.logspace(-3, 4, 141)])
+        for alpha in [round(0.05 * k, 2) for k in range(1, 21)]:
+            vals = mittag_leffler(alpha, -xs)
+            assert np.all((vals >= 0.0) & (vals <= 1.0)), alpha
+            assert np.all(np.diff(vals) <= 0.0), alpha
+            if alpha == 1.0:
+                assert np.max(np.abs(vals - np.exp(-xs))) <= 1e-10
+            if alpha == 0.5:
+                assert np.max(np.abs(vals - erfcx(xs))) <= 1e-10
+            for x in (0.01, 0.3, 1.0, 2.5, 6.0, 15.0):
+                if x ** (1.0 / alpha) <= 40.0:
+                    err = abs(mittag_leffler(alpha, -x) - ml_series_reference(alpha, -x))
+                    assert err <= 1e-10, (alpha, x)
+
+    def test_spectral_reference_far_out(self):
+        for alpha, x in ((0.05, 1e4), (0.3, 50.0), (0.7, 1e3), (0.999, 5.0)):
+            assert abs(mittag_leffler(alpha, -x) - _spectral_reference(alpha, x)) <= 1e-10
+
+    def test_guard_rejects_a_coarse_rule(self, coarse_ml_rule):
+        with pytest.raises(ArithmeticError, match="differ"):
+            mittag_leffler(0.5, -1.0)
 
 
 class TestMlRelaxation:
@@ -93,3 +203,25 @@ class TestMlRelaxation:
             ml_relaxation(0.5, -1.0, 1.0)
         with pytest.raises(ValueError):
             ml_relaxation(0.5, 1.0, -1.0)
+        with pytest.raises(ValueError):
+            ml_relaxation(0.5, [1.0, -1.0], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ml_relaxation(0.5, [0.0, 1.0], math.inf)
+
+    def test_broadcasts_over_rates_and_times(self):
+        eps = np.array([0.0, 0.5, 2.0])
+        ts = np.array([0.0, 0.3, 4.0])
+        table = ml_relaxation(0.4, eps[:, None], ts[None, :])
+        for i, e in enumerate(eps):
+            for j, t in enumerate(ts):
+                assert table[i, j] == pytest.approx(ml_relaxation(0.4, float(e), float(t)), abs=1e-14)
+        assert np.all(table[0] == 1.0) and np.all(table[:, 0] == 1.0)
+
+
+def test_import_does_not_load_mpmath():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, isofokker; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
