@@ -177,10 +177,7 @@ def cmd_darboux(cfg) -> int:
         raise UsageError(f"steps={steps} needs kmax > steps (got kmax={spectrum.kmax})")
     chain = build_chain(spectrum, steps)
     out = _ensure_out(str(cfg["out"]))
-    drifts = {}
-    for s in range(1, steps + 1):
-        sub = build_chain(spectrum, s) if s < steps else chain
-        drifts[f"D{s}"] = partner_drift(sub).D
+    drifts = {f"D{s}": partner_drift(chain, s).D for s in range(1, steps + 1)}
     write_csv(os.path.join(out, "darboux_drifts.csv"), drifts)
     write_csv(
         os.path.join(out, "darboux_states.csv"),

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, derivative, integrate, interior_hole_fraction, log_derivative
+from .evolve import TemporalRule, _expansion
+from .grid import GridFunction, derivative, interior_hole_fraction, log_derivative
 from .spectral import DriftSpec, Spectrum, ground_state_to_drift, normalized, sign_fixed
 
 __all__ = [
@@ -164,19 +165,22 @@ def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
     return sign_fixed(normalized(GridFunction(base.grid, vals, bad)))
 
 
-def partner_drift(chain: DarbouxChain) -> DriftSpec:
-    """Drift of the n-step partner process, from the stage-n ground state.
+def partner_drift(chain: DarbouxChain, stage: int | None = None) -> DriftSpec:
+    """Drift of the partner process after ``stage`` steps, from that stage's ground state.
 
-    Stage ground states are node-free by construction; nodes here signal a
-    construction bug and are rejected.
+    ``stage`` defaults to the last one, ``chain.n_steps``.  Stage ground
+    states are node-free by construction; nodes here signal a construction
+    bug and are rejected.
     """
     if chain.n_steps < 1:
         raise ValueError("chain has no completed Darboux steps")
-    ground = chain.stage_states[chain.n_steps][0]
+    s = chain.n_steps if stage is None else stage
+    if not 1 <= s <= chain.n_steps:
+        raise ValueError(f"stage {s} outside 1..{chain.n_steps}")
     try:
-        return ground_state_to_drift(ground)
+        return ground_state_to_drift(chain.stage_states[s][0])
     except ValueError as exc:
-        raise ValueError(f"stage-{chain.n_steps} ground state is not node-free: {exc}") from exc
+        raise ValueError(f"stage-{s} ground state is not node-free: {exc}") from exc
 
 
 def partner_pdf(chain: DarbouxChain, coeffs, t: float, temporal=None) -> GridFunction:
@@ -187,8 +191,6 @@ def partner_pdf(chain: DarbouxChain, coeffs, t: float, temporal=None) -> GridFun
     energies eps_k - eps_n, normalized to unit mass.  ``coeffs`` are the
     projections of the original initial density on the base spectrum.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
     n = chain.n_steps
     if n < 1:
         raise ValueError("chain has no completed Darboux steps")
@@ -198,19 +200,6 @@ def partner_pdf(chain: DarbouxChain, coeffs, t: float, temporal=None) -> GridFun
     used = coeffs[n:]
     if len(used) == 0 or np.all(used == 0.0):
         raise ValueError("all coefficients above the deleted levels vanish; no mass to evolve")
-    energies = chain.stage_energies[n][: len(used)]
-    if temporal is None:
-        factors = np.exp(-energies * t)
-    else:
-        factors = temporal.factors(energies, t)
-    stage = chain.stage_states[n]
-    ground = stage[0]
-    acc = GridFunction(chain.base.grid, np.zeros(chain.base.grid.n_points))
-    for c, tau, f in zip(used, factors, stage):
-        if c != 0.0:
-            acc = acc + (c * tau) * f
-    raw = ground * acc
-    mass = integrate(raw)
-    if abs(mass) < 1e-12:
-        raise ValueError("expansion carries (near-)zero total mass; cannot normalize")
-    return raw / mass
+    rule = TemporalRule.classical() if temporal is None else temporal
+    factors = rule.factors(chain.stage_energies[n][: len(used)], t)
+    return _expansion(chain.stage_states[n], used, factors, normalize=True)

@@ -4,6 +4,8 @@ A unit-mass initial density expands as P(x,0) = phi_0 sum_k c_k phi_k with
 c_k = int phi_k (phi_0^{-1} P) dx; each mode then relaxes with e^{-eps_k t}
 (classical) or E_alpha(-eps_k t^alpha) (fractional).  Mass is conserved
 exactly: int P dx = c_0 because both temporal factors equal 1 at eps = 0.
+The Darboux partner and the deformed process use the same expansion over
+their own bases (``_expansion``), renormalized to unit mass.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ from .mittag import ml_relaxation
 from .spectral import Spectrum
 
 __all__ = ["TemporalRule", "FpeSolution", "project", "evolve_pdf", "moments", "truncation_residual"]
+
+
+def _exponential(eps, t):
+    """e^{-eps t}; a non-finite or negative t is rejected (0 * inf would give NaN)."""
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and non-negative, got {t}")
+    return np.exp(-eps * t)
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,7 @@ class TemporalRule:
 
     def factor(self, eps: float, t: float) -> float:
         if self.kind == "classical":
-            return float(np.exp(-eps * t))
+            return float(_exponential(eps, t))
         if eps < 0.0:
             if eps < -1e-8:
                 raise ValueError(f"negative relaxation rate {eps}")
@@ -56,7 +65,7 @@ class TemporalRule:
         """factor() for every rate in ``energies`` at once."""
         eps = np.asarray(energies, dtype=float)
         if self.kind == "classical":
-            return np.exp(-eps * t)
+            return _exponential(eps, t)
         if np.any(eps < -1e-8):
             raise ValueError(f"negative relaxation rate {eps.min()}")
         return ml_relaxation(self.alpha, np.maximum(eps, 0.0), t)  # snaps numerical zero modes
@@ -112,17 +121,36 @@ def project(P0: GridFunction, spectrum: Spectrum) -> np.ndarray:
     return np.array([float(weighted @ spectrum.state(k).values) for k in range(spectrum.kmax + 1)])
 
 
+def _expansion(states, coeffs, factors, normalize: bool) -> GridFunction:
+    """Density phi_0 * sum_k c_k tau_k phi_k over ``states`` (ground state first).
+
+    Terms with c_k = 0 are skipped, and so are their masks: the result is
+    masked on the union of the ground state's mask and those of the states
+    used.  With ``normalize`` the density is scaled to unit mass.
+    """
+    ground = states[0]
+    acc = np.zeros(ground.grid.n_points)
+    mask = ground.mask
+    for c, tau, f in zip(coeffs, factors, states):
+        if c != 0.0:
+            acc += (c * tau) * f.values
+            if f.mask is not None:
+                mask = f.mask if mask is None else mask | f.mask
+    values = ground.values * acc
+    if normalize:
+        if mask is not None:
+            values = np.where(mask, 0.0, values)  # masked nodes carry no mass
+        mass = float(simpson_weights(ground.grid) @ values)
+        if abs(mass) < 1e-12:
+            raise ValueError("expansion carries (near-)zero total mass; cannot normalize")
+        values = values / mass
+    return GridFunction(ground.grid, values, mask)
+
+
 def evolve_pdf(sol: FpeSolution, t: float) -> GridFunction:
     """Density at time t: phi_0 sum_k c_k phi_k tau_k(t); no renormalization needed."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
     factors = sol.temporal.factors(sol.spectrum.energies[: len(sol.coeffs)], t)
-    grid = sol.spectrum.grid
-    acc = np.zeros(grid.n_points)
-    for c, tau, state in zip(sol.coeffs, factors, sol.spectrum.states):
-        if c != 0.0:
-            acc += (c * tau) * state.values
-    return GridFunction(grid, sol.spectrum.state(0).values * acc)
+    return _expansion(sol.spectrum.states, sol.coeffs, factors, normalize=False)
 
 
 def moments(P: GridFunction, orders) -> list[float]:

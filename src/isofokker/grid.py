@@ -289,6 +289,20 @@ def sup_diff(f: GridFunction, g: GridFunction, window: tuple[float, float] | Non
     return sup_norm(f - g, window)
 
 
+def fill_masked(f: GridFunction) -> np.ndarray:
+    """Values of f with masked samples replaced by interpolation from reliable neighbors.
+
+    Masked bands only occur in decaying tails here, where the nearest
+    reliable value is a harmless stand-in (for a confining potential or a
+    drift alike).
+    """
+    if f.mask is None:
+        return f.values
+    x = f.grid.x
+    ok = ~f.mask
+    return np.interp(x, x[ok], f.values[ok])
+
+
 def interior_hole_fraction(bad: np.ndarray) -> float:
     """Fraction of interior nodes flagged bad, ignoring the wall-attached bands.
 

@@ -21,14 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import DarbouxChain
-from .grid import (
-    GridFunction,
-    cumulative_integral,
-    derivative,
-    divide,
-    integrate,
-    log_derivative,
-)
+from .evolve import TemporalRule, _expansion
+from .grid import GridFunction, cumulative_integral, derivative, divide, log_derivative
 from .spectral import DriftSpec, ground_state_to_drift, normalized, sign_fixed
 
 __all__ = [
@@ -210,24 +204,11 @@ def iso_pdf(deformation: IsoDeformation, coeffs, t: float, temporal=None) -> Gri
     projections of the initial density on the original spectrum; the lowest
     n modes re-enter through the reinstated states.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) > len(deformation.states):
         raise ValueError(
             f"got {len(coeffs)} coefficients for {len(deformation.states)} deformed states"
         )
-    energies = deformation.energies[: len(coeffs)]
-    if temporal is None:
-        factors = np.exp(-energies * t)
-    else:
-        factors = temporal.factors(energies, t)
-    acc = GridFunction(deformation.chain.base.grid, np.zeros(deformation.chain.base.grid.n_points))
-    for c, tau, f in zip(coeffs, factors, deformation.states):
-        if c != 0.0:
-            acc = acc + (c * tau) * f
-    raw = deformation.states[0] * acc
-    mass = integrate(raw)
-    if abs(mass) < 1e-12:
-        raise ValueError("expansion carries (near-)zero total mass; cannot normalize")
-    return raw / mass
+    rule = TemporalRule.classical() if temporal is None else temporal
+    factors = rule.factors(deformation.energies[: len(coeffs)], t)
+    return _expansion(deformation.states, coeffs, factors, normalize=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grid import GridFunction, integrate
+from .grid import GridFunction, fill_masked, integrate
 from .mittag import ml_relaxation
 from .spectral import DriftSpec
 
@@ -44,15 +44,6 @@ class CnConfig:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 
 
-def _filled_drift(drift: DriftSpec) -> np.ndarray:
-    D = drift.D
-    if D.mask is None:
-        return D.values
-    x = D.grid.x
-    ok = ~D.mask
-    return np.interp(x, x[ok], D.values[ok])
-
-
 def _flux_operator(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tridiagonal generator of dP/dt = -d/dx (D P - dP/dx), flux at half nodes.
 
@@ -62,7 +53,7 @@ def _flux_operator(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     grid = drift.grid
     h = grid.h
     n = grid.n_points
-    d = _filled_drift(drift)
+    d = fill_masked(drift.D)
     dh = 0.5 * (d[:-1] + d[1:])
     lower = np.zeros(n)
     diag = np.zeros(n)

@@ -19,6 +19,7 @@ from .grid import (
     Grid1D,
     GridFunction,
     derivative,
+    fill_masked,
     integrate,
     interior_sign_changes,
     log_derivative,
@@ -85,19 +86,6 @@ class Spectrum:
         return self.states[k]
 
 
-def _fill_masked(f: GridFunction) -> np.ndarray:
-    """Replace masked samples by interpolation from reliable neighbors.
-
-    Masked bands only occur in decaying tails here, where the nearest
-    reliable value is a harmless stand-in for a confining potential.
-    """
-    if f.mask is None:
-        return f.values
-    x = f.grid.x
-    ok = ~f.mask
-    return np.interp(x, x[ok], f.values[ok])
-
-
 def normalized(f: GridFunction) -> GridFunction:
     """Scale to unit L2 norm under Simpson quadrature."""
     nrm = np.sqrt(integrate(f * f))
@@ -123,7 +111,7 @@ def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
     w1 = derivative(W)
     w2 = derivative(w1)
     V = w1 * w1 - w2
-    vals = _fill_masked(V)
+    vals = fill_masked(V)
     if not np.all(np.isfinite(vals)):
         raise ValueError("potential W'^2 - W'' is not finite on the grid")
     V = GridFunction(W.grid, vals)

@@ -125,6 +125,20 @@ class TestPartnerDrift:
             expected = ou_spectrum.energies[n : n + 6] - ou_spectrum.energies[n]
             assert np.max(np.abs(resolved.energies - expected)) <= 5e-3
 
+    def test_earlier_stage_of_a_longer_chain(self, ou_spectrum, ou_chain3):
+        # a chain's earlier stages are computed exactly as a shorter chain's
+        for s in (1, 2):
+            short = partner_drift(build_chain(ou_spectrum, s))
+            staged = partner_drift(ou_chain3, s)
+            assert np.array_equal(staged.D.values, short.D.values)
+            assert np.array_equal(staged.D.unmasked(), short.D.unmasked())
+        assert np.array_equal(partner_drift(ou_chain3, 3).D.values, partner_drift(ou_chain3).D.values)
+
+    @pytest.mark.parametrize("stage", [0, 4])
+    def test_stage_outside_chain_rejected(self, ou_chain3, stage):
+        with pytest.raises(ValueError, match="stage"):
+            partner_drift(ou_chain3, stage)
+
 
 class TestPartnerPdf:
     def test_single_mode_is_stationary(self, ou_spectrum):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isofokker.darboux import build_chain, partner_pdf
 from isofokker.evolve import (
     FpeSolution,
     TemporalRule,
@@ -12,6 +13,7 @@ from isofokker.evolve import (
     truncation_residual,
 )
 from isofokker.grid import integrate, make_grid, sample, simpson_weights, sup_diff
+from isofokker.isospectral import IsoParams, iso_pdf, reinstate
 from isofokker.scenarios import ou_transition
 from isofokker.spectral import build_hamiltonian, solve_spectrum
 
@@ -64,6 +66,15 @@ class TestTemporalRule:
             assert np.all(tau[:3] == 1.0)
         with pytest.raises(ValueError, match="negative relaxation rate"):
             rule.factors([0.0, -2e-8, 1.0], 1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -1.0])
+    def test_classical_rejects_bad_time(self, t):
+        # 0 * inf would make the zero mode NaN; a negative t would grow every mode
+        rule = TemporalRule.classical()
+        with pytest.raises(ValueError, match="time"):
+            rule.factors([0.0, 1.0], t)
+        with pytest.raises(ValueError, match="time"):
+            rule.factor(1.0, t)
 
 
 class TestProject:
@@ -177,6 +188,82 @@ class TestEvolvePdf:
     def test_coefficient_count_guard(self, ou_spectrum):
         with pytest.raises(ValueError):
             FpeSolution(ou_spectrum, np.ones(9), TemporalRule.classical())
+
+
+@pytest.fixture(scope="module")
+def defo_pair(ou_spectrum):
+    """Two-parameter deformation at lambda = (0.5, 0.5); its states carry masks."""
+    return reinstate(build_chain(ou_spectrum, 2), IsoParams([0.5, 0.5]))
+
+
+def _mode_sum_density(states, coeffs, factors):
+    """Unit-mass phi_0 sum_k c_k tau_k phi_k, mode by mode, and its mask.
+
+    The mask is the union of the ground state's and those of the states
+    with c_k != 0.
+    """
+    used = [k for k, c in enumerate(coeffs) if c != 0.0]
+    mask = ~states[0].unmasked()
+    for k in used:
+        mask = mask | ~states[k].unmasked()
+    total = sum(coeffs[k] * factors[k] * states[k].values for k in used)
+    raw = np.where(mask, 0.0, states[0].values * total)
+    return raw / (simpson_weights(states[0].grid) @ raw), mask
+
+
+class TestExpansionKernel:
+    @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.6)])
+    def test_partner_pdf_matches_mode_sum(self, ou_chain3, gaussian_coeffs, rule):
+        n = ou_chain3.n_steps
+        factors = rule.factors(ou_chain3.stage_energies[n], 0.7)
+        ref, mask = _mode_sum_density(ou_chain3.stage_states[n], gaussian_coeffs[n:], factors)
+        p = partner_pdf(ou_chain3, gaussian_coeffs, 0.7, rule)
+        assert mask.any()
+        assert np.array_equal(~p.unmasked(), mask)
+        assert np.max(np.abs(p.values - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.6)])
+    def test_iso_pdf_matches_mode_sum(self, defo_pair, gaussian_coeffs, rule):
+        factors = rule.factors(defo_pair.energies, 0.7)
+        ref, mask = _mode_sum_density(defo_pair.states, gaussian_coeffs, factors)
+        p = iso_pdf(defo_pair, gaussian_coeffs, 0.7, rule)
+        assert mask.any()
+        assert np.array_equal(~p.unmasked(), mask)
+        assert np.max(np.abs(p.values - ref)) <= 1e-14
+
+    def test_zero_coefficient_leaves_its_mask_out(self, defo_pair):
+        ground, first = defo_pair.states[0], defo_pair.states[1]
+        assert np.any(first.mask & ~ground.mask)
+        alone = iso_pdf(defo_pair, [1.0, 0.0], 1.0)
+        both = iso_pdf(defo_pair, [1.0, 0.1], 1.0)
+        assert np.array_equal(alone.mask, ground.mask)
+        assert np.array_equal(both.mask, ground.mask | first.mask)
+
+    def test_near_zero_mass_rejected(self, ou_chain3, defo_pair):
+        # phi_4 alone is orthogonal to the stage-3 ground state
+        with pytest.raises(ValueError, match="zero total mass"):
+            partner_pdf(ou_chain3, [0.0, 0.0, 0.0, 0.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="zero total mass"):
+            iso_pdf(defo_pair, np.zeros(8), 1.0)
+
+    def test_evolve_pdf_does_not_renormalize(self, ou_spectrum):
+        sol = FpeSolution(ou_spectrum, [0.5, 0.3], TemporalRule.classical())
+        p = evolve_pdf(sol, 1.0)
+        assert integrate(p) == pytest.approx(0.5, abs=1e-9)
+        phi0, phi1 = ou_spectrum.state(0).values, ou_spectrum.state(1).values
+        ref = phi0 * (0.5 * phi0 + 0.3 * math.exp(-ou_spectrum.energies[1]) * phi1)
+        assert np.max(np.abs(p.values - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("t", [math.inf, -1.0])
+    def test_every_density_rejects_bad_time(
+        self, classical_sol, ou_chain3, defo_pair, gaussian_coeffs, t
+    ):
+        with pytest.raises(ValueError, match="time"):
+            evolve_pdf(classical_sol, t)
+        with pytest.raises(ValueError, match="time"):
+            partner_pdf(ou_chain3, gaussian_coeffs, t)
+        with pytest.raises(ValueError, match="time"):
+            iso_pdf(defo_pair, gaussian_coeffs, t)
 
 
 class TestMoments:
