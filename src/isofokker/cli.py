@@ -18,7 +18,7 @@ import numpy as np
 
 from .darboux import build_chain, partner_drift, partner_pdf
 from .evolve import FpeSolution, TemporalRule, evolve_pdf, moments, project, truncation_residual
-from .grid import GridFunction, integrate, make_grid, sample, sup_diff, write_csv
+from .grid import GridFunction, cumulative_integral, integrate, make_grid, sample, sup_diff, write_csv
 from .isospectral import IsoParams, iso_pdf, reinstate
 from .mittag import mittag_leffler, ml_relaxation
 from .oracle import CnConfig, cn_evolve, gl_residual
@@ -260,8 +260,17 @@ def _initial_condition(cfg, grid) -> GridFunction:
             raise UsageError(f"{path}: IC CSV must have two columns (x, P)")
         if np.isnan(rows[0]).all():
             rows = rows[1:]
-        P0 = GridFunction(grid, np.interp(grid.x, rows[:, 0], rows[:, 1]))
-        return P0 / integrate(P0)
+        if not np.all(np.isfinite(rows)):
+            raise UsageError(f"{path}: non-finite entries in IC samples")
+        x, p = rows[:, 0], rows[:, 1]
+        if np.any(np.diff(x) <= 0):
+            raise UsageError(f"{path}: IC x values must be strictly increasing")
+        # zero outside the sampled range rather than np.interp's constant tails
+        P0 = GridFunction(grid, np.interp(grid.x, x, p, left=0.0, right=0.0))
+        mass = integrate(P0)
+        if not mass > 0.0:
+            raise UsageError(f"{path}: IC has no positive mass on the grid")
+        return P0 / mass
     raise UsageError(f"unknown IC {spec!r} (expected gaussian:mean,var or csv:PATH)")
 
 
@@ -427,10 +436,8 @@ def _verify_checks(cfg) -> list[dict]:
     fmass = FpeSolution(spectrum, coeffs, TemporalRule.fractional(0.5))
     record("fractional_mass_conservation", abs(integrate(evolve_pdf(fmass, 2.0)) - coeffs[0]), 1e-6)
 
-    from scipy.special import erfc
-
     record("ml_classical_limit", abs(mittag_leffler(1.0, -1.0) - math.exp(-1.0)), 1e-10)
-    record("ml_erfc_identity", abs(mittag_leffler(0.5, -1.0) - math.e * erfc(1.0)), 1e-8)
+    record("ml_erfc_identity", abs(mittag_leffler(0.5, -1.0) - math.e * math.erfc(1.0)), 1e-8)
     r1 = gl_residual(0.5, 1.0, 1e-3, 1.0)
     r2 = gl_residual(0.5, 1.0, 5e-4, 1.0)
     record("gl_halving_ratio_dev", abs(r2 / r1 - 0.5), 0.1)
@@ -439,8 +446,6 @@ def _verify_checks(cfg) -> list[dict]:
     T = 1.0 / (4.0 * math.pi)
     thermal, _ = schwarzschild_potential(T, rgrid)
     integrand = sample(rgrid, lambda r: (1.0 / (4.0 * math.pi * r) - T) * 2.0 * math.pi * r)
-    from .grid import cumulative_integral
-
     rec = cumulative_integral(integrand) + float(thermal.U.values[0])
     record("schwarzschild_potential_reconstruction", sup_diff(rec, thermal.U), 1e-6)
     return checks

@@ -17,7 +17,7 @@ import numpy as np
 
 from .evolve import TemporalRule, _expansion
 from .grid import GridFunction, derivative, interior_hole_fraction, log_derivative
-from .spectral import DriftSpec, Spectrum, ground_state_to_drift, normalized, sign_fixed
+from .spectral import DriftSpec, Spectrum, _unit_state, ground_state_to_drift
 
 __all__ = [
     "DarbouxChain",
@@ -94,7 +94,7 @@ def darboux_step(chain: DarbouxChain) -> DarbouxChain:
     for f in stage[1:]:
         g = derivative(f) - kernel * f
         _check_contamination(g)
-        new_states.append(sign_fixed(normalized(g)))
+        new_states.append(_unit_state(g.grid, g.values, g.mask))
     energies = chain.base.energies[s + 1 :] - chain.base.energies[s + 1]
     return DarbouxChain(
         base=chain.base,
@@ -125,21 +125,32 @@ def _derivative_stack(f: GridFunction, order: int) -> list[np.ndarray]:
     return rows
 
 
-def _wronskian(states: list[GridFunction]) -> np.ndarray:
-    """Pointwise Wronskian determinant of the given states.
+def _crum_cofactors(base: Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cofactor ratios of the last-column expansion of W[phi_0..phi_{n-1}, phi_k].
 
-    Rows are derivative orders 0..m-1 (repeated 4th-order differencing);
-    the per-node determinants go through LAPACK's partially pivoted LU.
+    Along its phi_k column the numerator is sum_j C_j phi_k^(j), j = 0..n,
+    with C_n = W[phi_0..phi_{n-1}] the denominator, so the ratio is
+    phi_k^(n) + sum_{j<n} a_j phi_k^(j) with a_j = C_j / C_n for every k.
+    By Cramer's rule the a_j solve sum_j a_j phi_i^(j) = -phi_i^(n) for
+    i < n, which each node does by partially pivoted LU.  Returns the
+    (n, nodes) ratios and the mask where the denominator underflows;
+    computed once per (spectrum, n), and an n whose denominator fails the
+    interior check raises and is not kept.
     """
-    m = len(states)
-    if m == 1:
-        return states[0].values.copy()
-    n = states[0].grid.n_points
-    mat = np.empty((n, m, m))
-    for i, f in enumerate(states):
-        for j, row in enumerate(_derivative_stack(f, m - 1)):
-            mat[:, j, i] = row
-    return np.linalg.det(mat)
+    memo = base._crum_memo
+    if n in memo:
+        return memo[n]
+    rows = np.array([_derivative_stack(base.state(i), n) for i in range(n)])  # (state, order, node)
+    den = rows[0, 0].copy() if n == 1 else np.linalg.det(rows[:, :n].transpose(2, 1, 0))
+    bad = np.abs(den) < 1e-12 * np.max(np.abs(den))
+    if interior_hole_fraction(bad) > MAX_MASKED_FRACTION:
+        raise ValueError("denominator Wronskian vanishes on more than 5% of the interior")
+    system = np.where(bad[:, None, None], np.eye(n), rows[:, :n].transpose(2, 0, 1))
+    ratios = np.linalg.solve(system, -rows[:, n].T[..., None])[..., 0].T
+    ratios.setflags(write=False)
+    bad.setflags(write=False)
+    memo[n] = (ratios, bad)
+    return ratios, bad
 
 
 def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
@@ -147,7 +158,9 @@ def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
 
     phi_k^{(n)} = W[phi_0..phi_{n-1}, phi_k] / W[phi_0..phi_{n-1}],
     normalized and sign-fixed, masked where the denominator Wronskian
-    underflows.  Independent of the iterated-step route on purpose.
+    underflows.  The numerator is expanded along its phi_k column, with
+    cofactors shared by every k at this n.  Independent of the
+    iterated-step route on purpose.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -155,14 +168,10 @@ def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
         raise IndexError(f"level {k} is among the deleted ones (n={n})")
     if k > base.kmax:
         raise IndexError(f"level {k} beyond kmax={base.kmax}")
-    lowest = [base.state(i) for i in range(n)]
-    num = _wronskian(lowest + [base.state(k)])
-    den = _wronskian(lowest)
-    bad = np.abs(den) < 1e-12 * np.max(np.abs(den))
-    if interior_hole_fraction(bad) > MAX_MASKED_FRACTION:
-        raise ValueError("denominator Wronskian vanishes on more than 5% of the interior")
-    vals = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
-    return sign_fixed(normalized(GridFunction(base.grid, vals, bad)))
+    ratios, bad = _crum_cofactors(base, n)
+    rows = _derivative_stack(base.state(k), n)
+    vals = rows[n] + sum(a * row for a, row in zip(ratios, rows))
+    return _unit_state(base.grid, vals, bad)
 
 
 def partner_drift(chain: DarbouxChain, stage: int | None = None) -> DriftSpec:

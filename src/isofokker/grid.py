@@ -10,6 +10,7 @@ and downstream sup-norm comparisons skip them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,16 @@ class Grid1D:
     @property
     def x(self) -> np.ndarray:
         return np.linspace(self.c1, self.c2, self.n_points)
+
+    @cached_property
+    def simpson_weights(self) -> np.ndarray:
+        """Composite Simpson weights (h/3)*[1,4,2,...,2,4,1], built once and read-only."""
+        w = np.full(self.n_points, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        w = w * (self.h / 3.0)
+        w.setflags(write=False)
+        return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,11 +187,8 @@ def sample(grid: Grid1D, fn) -> GridFunction:
 
 
 def simpson_weights(grid: Grid1D) -> np.ndarray:
-    """Composite Simpson weights (h/3)*[1,4,2,...,2,4,1]."""
-    w = np.full(grid.n_points, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (grid.h / 3.0)
+    """Composite Simpson weights (h/3)*[1,4,2,...,2,4,1] of the grid (read-only)."""
+    return grid.simpson_weights
 
 
 def integrate(f: GridFunction) -> float:
@@ -310,15 +318,12 @@ def interior_hole_fraction(bad: np.ndarray) -> float:
     bands at the two walls; flagged nodes in the bulk are the actual sign of
     a degenerate construction.
     """
-    n = len(bad)
-    lo = 0
-    while lo < n and bad[lo]:
-        lo += 1
-    hi = n
-    while hi > lo and bad[hi - 1]:
-        hi -= 1
-    holes = int(np.count_nonzero(bad[lo:hi]))
-    return holes / max(n - 2, 1)
+    bad = np.asarray(bad, dtype=bool)
+    good = np.flatnonzero(~bad)
+    if len(good) == 0:
+        return 0.0
+    holes = int(np.count_nonzero(bad[good[0] : good[-1] + 1]))
+    return holes / max(len(bad) - 2, 1)
 
 
 def interior_sign_changes(f: GridFunction, rel_floor: float = 1e-6) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 from .darboux import DarbouxChain
 from .evolve import TemporalRule, _expansion
 from .grid import GridFunction, cumulative_integral, derivative, divide, log_derivative
-from .spectral import DriftSpec, ground_state_to_drift, normalized, sign_fixed
+from .spectral import DriftSpec, _unit_state, ground_state_to_drift
 
 __all__ = [
     "IsoParams",
@@ -167,12 +167,12 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         f = divide(ones, dressed[s], floor=_virtual_floor(dressed[s]))
         for j in range(s - 1, -1, -1):
             f = _first_order(f, b_kernels[j], adjoint=True)
-        states.append(sign_fixed(normalized(f)))
+        states.append(_unit_state(f.grid, f.values, f.mask))
     for k in range(n, chain.kmax + 1):
         f = chain.state(n, k)
         for j in range(n - 1, -1, -1):
             f = _first_order(f, b_kernels[j], adjoint=True)
-        states.append(sign_fixed(normalized(f)))
+        states.append(_unit_state(f.grid, f.values, f.mask))
 
     drift = ground_state_to_drift(states[0])
     return IsoDeformation(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import GridFunction, fill_masked, integrate
 from .mittag import ml_relaxation
@@ -94,11 +94,10 @@ def cn_evolve(drift: DriftSpec, P0: GridFunction, cfg: CnConfig) -> GridFunction
         upper[0] = lower[-1] = 0.0
 
     half = 0.5 * cfg.dt
-    # banded storage: row 0 = superdiag, row 1 = diag, row 2 = subdiag
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -half * upper[:-1]
-    ab[1, :] = 1.0 - half * diag
-    ab[2, :-1] = -half * lower[1:]
+    # LU of the tridiagonal I - (dt/2) L, factored once for every step
+    dl, d, du, du2, ipiv, info = dgttrf(-half * lower[1:], 1.0 - half * diag, -half * upper[:-1])
+    if info != 0:
+        raise RuntimeError(f"Crank-Nicolson matrix is singular (LAPACK dgttrf info {info})")
 
     trapz = np.full(n, h)
     trapz[0] = trapz[-1] = 0.5 * h
@@ -111,10 +110,9 @@ def cn_evolve(drift: DriftSpec, P0: GridFunction, cfg: CnConfig) -> GridFunction
         rhs = p + half * (diag * p)
         rhs[:-1] += half * upper[:-1] * p[1:]
         rhs[1:] += half * lower[1:] * p[:-1]
-        try:
-            p = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise RuntimeError(f"Crank-Nicolson linear solve failed: {exc}") from exc
+        p, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        if info != 0:  # pragma: no cover - only for malformed arguments
+            raise RuntimeError(f"Crank-Nicolson linear solve failed: LAPACK dgttrs info {info}")
         if not dirichlet and abs(float(trapz @ p) - tmass0) > 1e-6:
             raise RuntimeError(
                 "mass drifted by more than 1e-6 under zero-flux boundaries; "

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite, factorial
 
 from .grid import Grid1D, GridFunction, cumulative_integral, sample
 from .spectral import DriftSpec
@@ -39,6 +38,16 @@ def ou_scenario(grid: Grid1D, gamma: float = 1.0) -> DriftSpec:
     return DriftSpec(W=W, D=D)
 
 
+def _hermite(k: int, y: np.ndarray) -> np.ndarray:
+    """Physicists' Hermite polynomial H_k(y) by H_{j+1} = 2y H_j - 2j H_{j-1}."""
+    prev, cur = np.ones_like(y), 2.0 * y
+    if k == 0:
+        return prev
+    for j in range(1, k):
+        prev, cur = cur, 2.0 * y * cur - 2.0 * j * prev
+    return cur
+
+
 def ou_reference_state(grid: Grid1D, k: int, gamma: float = 1.0) -> GridFunction:
     """Closed-form eigenstate H_k(x sqrt(gamma/2)) e^{-gamma x^2/4}, unit L2 norm.
 
@@ -49,10 +58,10 @@ def ou_reference_state(grid: Grid1D, k: int, gamma: float = 1.0) -> GridFunction
     """
     s = math.sqrt(gamma / 2.0)
     # ||H_k(s x) e^{-s^2 x^2 / 2}||^2 = 2^k k! sqrt(pi) / s
-    nrm = math.sqrt(2.0**k * float(factorial(k)) * math.sqrt(math.pi) / s)
+    nrm = math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi) / s)
     if k % 2:
         nrm = -nrm
-    return sample(grid, lambda x: eval_hermite(k, s * x) * np.exp(-gamma * x**2 / 4.0) / nrm)
+    return sample(grid, lambda x: _hermite(k, s * x) * np.exp(-gamma * x**2 / 4.0) / nrm)
 
 
 def ou_transition(mean0: float, var0: float, t: float, gamma: float = 1.0) -> tuple[float, float]:

@@ -10,7 +10,7 @@ ground state as D = 2 (ln|phi_0|)'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -20,9 +20,9 @@ from .grid import (
     GridFunction,
     derivative,
     fill_masked,
-    integrate,
     interior_sign_changes,
     log_derivative,
+    simpson_weights,
 )
 
 __all__ = [
@@ -81,25 +81,45 @@ class Spectrum:
     energies: np.ndarray
     states: tuple[GridFunction, ...]
     kmax: int
+    # Work shared by every call at one n, keyed by n (see darboux.crum_states);
+    # safe to keep because the spectrum is frozen and its states read-only.
+    _crum_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def state(self, k: int) -> GridFunction:
         return self.states[k]
 
 
-def normalized(f: GridFunction) -> GridFunction:
-    """Scale to unit L2 norm under Simpson quadrature."""
-    nrm = np.sqrt(integrate(f * f))
+def _l2_norm(grid: Grid1D, values: np.ndarray) -> float:
+    nrm = np.sqrt(float(simpson_weights(grid) @ (values * values)))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ValueError("cannot normalize: zero or non-finite norm")
-    return f / nrm
+    return float(nrm)
+
+
+def _leads_negative(values: np.ndarray) -> bool:
+    significant = np.abs(values) > 1e-3 * np.max(np.abs(values))
+    return bool(values[int(np.argmax(significant))] < 0)
+
+
+def normalized(f: GridFunction) -> GridFunction:
+    """Scale to unit L2 norm under Simpson quadrature."""
+    return f / _l2_norm(f.grid, f.values)
 
 
 def sign_fixed(f: GridFunction) -> GridFunction:
     """Flip sign so the leftmost significant lobe is positive (phi'(c1) > 0)."""
-    v = f.values
-    significant = np.abs(v) > 1e-3 * np.max(np.abs(v))
-    first = int(np.argmax(significant))
-    return -f if v[first] < 0 else f
+    return -f if _leads_negative(f.values) else f
+
+
+def _unit_state(grid: Grid1D, values: np.ndarray, mask: np.ndarray | None = None) -> GridFunction:
+    """``sign_fixed(normalized(GridFunction(grid, values, mask)))``, built as one object."""
+    v = np.asarray(values, dtype=float)
+    if mask is not None:
+        v = np.where(mask, 0.0, v)
+    u = v / _l2_norm(grid, v)
+    if _leads_negative(u):
+        u = -u
+    return GridFunction(grid, u, mask)
 
 
 def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
@@ -158,7 +178,7 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
     for k in range(kmax + 1):
         full = np.zeros(n)
         full[1:-1] = vectors[:, k]
-        states.append(sign_fixed(normalized(GridFunction(op.grid, full))))
+        states.append(_unit_state(op.grid, full))
     return Spectrum(op.grid, energies, tuple(states), kmax)
 
 

@@ -14,6 +14,8 @@ from isofokker import (
     sample,
     solve_spectrum,
 )
+from isofokker.grid import GridFunction, derivative
+from isofokker.spectral import normalized, sign_fixed
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +85,33 @@ def ml_series_reference(alpha: float, z: float) -> float:
             if abs(term) < tiny:
                 return float(total)
             k += 1
+
+
+def wronskian_reference(states) -> np.ndarray:
+    """Pointwise Wronskian determinant of the given states, by LU per node.
+
+    Rows are derivative orders 0..m-1 (repeated 4th-order differencing of
+    the package), columns the states; each node's m x m determinant goes
+    through LAPACK's partially pivoted LU.
+    """
+    m = len(states)
+    if m == 1:
+        return states[0].values.copy()
+    mat = np.empty((states[0].grid.n_points, m, m))
+    for i, f in enumerate(states):
+        g = f
+        mat[:, 0, i] = g.values
+        for j in range(1, m):
+            g = derivative(g)
+            mat[:, j, i] = g.values
+    return np.linalg.det(mat)
+
+
+def crum_reference(base, n: int, k: int):
+    """phi_k after deleting n levels as the full Wronskian ratio, masked where the denominator underflows."""
+    lowest = [base.state(i) for i in range(n)]
+    num = wronskian_reference(lowest + [base.state(k)])
+    den = wronskian_reference(lowest)
+    bad = np.abs(den) < 1e-12 * np.max(np.abs(den))
+    vals = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
+    return sign_fixed(normalized(GridFunction(base.grid, vals, bad)))

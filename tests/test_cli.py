@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from isofokker.cli import main
-from isofokker.grid import read_csv_columns
+from isofokker.cli import UsageError, _initial_condition, main
+from isofokker.grid import integrate, make_grid, read_csv_columns
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +103,42 @@ class TestEvolveCommand:
         )
         assert rc == 0
         assert json.loads(out)["moments"][0]["mass"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_narrow_csv_initial_condition_gets_zero_tails(self, tmp_path):
+        ic = tmp_path / "ic.csv"
+        xs = np.linspace(-2.0, 3.0, 101)
+        # non-zero at both ends, where clamping would leave constant tails
+        np.savetxt(ic, np.column_stack([xs, 1.0 + 0.1 * xs]), delimiter=",", header="x,P", comments="")
+        grid = make_grid(-12.0, 12.0, 2001)
+        P0 = _initial_condition({"ic": f"csv:{ic}"}, grid)
+        outside = (grid.x < -2.0) | (grid.x > 3.0)
+        assert np.all(P0.values[outside] == 0.0)
+        assert np.all(P0.values[~outside] > 0.0)
+        assert integrate(P0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_ic_without_mass_on_grid_rejected(self, tmp_path):
+        ic = tmp_path / "ic.csv"
+        np.savetxt(ic, [[20.0, 1.0], [21.0, 1.0]], delimiter=",")
+        with pytest.raises(UsageError, match="mass"):
+            _initial_condition({"ic": f"csv:{ic}"}, make_grid(-12.0, 12.0, 2001))
+
+    def test_unsorted_csv_initial_condition_exits_one(self, capsys, tmp_path):
+        ic = tmp_path / "ic.csv"
+        xs = np.linspace(-12, 12, 201)
+        rows = np.column_stack([xs, np.exp(-(xs**2))])
+        np.random.default_rng(3).shuffle(rows)
+        np.savetxt(ic, rows, delimiter=",")
+        rc, _, err = run_cli(capsys, "evolve", "--times", "0.5", "--ic", f"csv:{ic}", "--out", str(tmp_path))
+        assert rc == 1
+        assert "increasing" in err
+
+    def test_non_finite_csv_initial_condition_exits_one(self, capsys, tmp_path):
+        ic = tmp_path / "ic.csv"
+        with open(ic, "w") as fh:
+            fh.write("x,P\n-1,0.5\n0,nan\n1,0.5\n")
+        rc, _, err = run_cli(capsys, "evolve", "--times", "0.5", "--ic", f"csv:{ic}", "--out", str(tmp_path))
+        assert rc == 1
+        assert "non-finite" in err
 
     def test_bad_ic_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "evolve", "--ic", "circle:1", "--out", str(tmp_path))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import align_sign
+from conftest import align_sign, crum_reference
 from isofokker.darboux import build_chain, crum_states, darboux_step, partner_drift, partner_pdf
 from isofokker.grid import (
+    GridFunction,
     derivative,
     integrate,
     interior_sign_changes,
@@ -15,7 +16,7 @@ from isofokker.grid import (
 )
 from isofokker.oracle import CnConfig, cn_evolve
 from isofokker.scenarios import box_scenario
-from isofokker.spectral import build_hamiltonian, ground_state_to_drift, solve_spectrum
+from isofokker.spectral import Spectrum, build_hamiltonian, ground_state_to_drift, solve_spectrum
 from isofokker.evolve import project
 
 
@@ -99,6 +100,64 @@ class TestCrumStates:
             crum_states(ou_spectrum, 1, 8)
         with pytest.raises(ValueError):
             crum_states(ou_spectrum, 0, 1)
+
+
+def _spectrum(c1, c2, prepotential):
+    g = make_grid(c1, c2, 2001)
+    return solve_spectrum(build_hamiltonian(sample(g, prepotential)), 7)
+
+
+class TestCrumCofactorExpansion:
+    """The shared-cofactor route against the full per-node LU Wronskian ratio."""
+
+    @pytest.mark.parametrize(
+        "c1, c2, prepotential",
+        [
+            (-12.0, 12.0, lambda x: x**2 / 4.0),
+            # anharmonic oscillator: quartic prepotential, asymmetric by a tilt
+            (-10.0, 10.0, lambda x: x**2 / 4.0 + 0.01 * x**4 + 0.3 * x),
+        ],
+        ids=["ou", "quartic"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_lu_wronskian_ratio(self, c1, c2, prepotential, n):
+        spec = _spectrum(c1, c2, prepotential)
+        for k in range(n, spec.kmax + 1):
+            got = crum_states(spec, n, k)
+            ref = crum_reference(spec, n, k)
+            assert np.max(np.abs(got.values - ref.values)) <= 1e-12, k
+            assert got.mask is not None and np.array_equal(got.mask, ref.mask)
+
+    def test_repeated_and_interleaved_calls(self):
+        spec = _spectrum(-12.0, 12.0, lambda x: x**2 / 4.0)
+        order = [(2, 3), (1, 1), (3, 7), (2, 3), (1, 5), (3, 3), (1, 1), (2, 7), (3, 7)]
+        first = {}
+        for n, k in order:
+            f = crum_states(spec, n, k)
+            if (n, k) not in first:
+                first[(n, k)] = f
+            ref = first[(n, k)]
+            assert np.array_equal(f.values, ref.values)
+            assert np.array_equal(f.mask, ref.mask)
+        fresh = _spectrum(-12.0, 12.0, lambda x: x**2 / 4.0)
+        for (n, k), f in first.items():
+            assert np.array_equal(crum_states(fresh, n, k).values, f.values)
+
+    def test_failing_denominator_raises_on_every_call(self):
+        # a ground state vanishing on the middle fifth of the domain
+        g = make_grid(-1.0, 1.0, 401)
+        x = g.x
+        bump = np.where(np.abs(x) > 0.2, np.sin(np.pi * x) ** 2, 0.0)
+        states = (
+            GridFunction(g, bump),
+            GridFunction(g, np.sin(np.pi * (x + 1.0) / 2.0) * x),
+            GridFunction(g, np.sin(np.pi * (x + 1.0))),
+        )
+        spec = Spectrum(g, np.array([0.0, 1.0, 2.0]), states, 2)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="denominator Wronskian"):
+                crum_states(spec, 1, 1)
+        assert 1 not in spec._crum_memo
 
 
 class TestPartnerDrift:

@@ -9,11 +9,13 @@ from isofokker.grid import (
     derivative,
     divide,
     integrate,
+    interior_hole_fraction,
     interior_sign_changes,
     log_derivative,
     make_grid,
     read_csv_columns,
     sample,
+    simpson_weights,
     sup_diff,
     sup_norm,
     write_csv,
@@ -62,6 +64,64 @@ class TestIntegrate:
         g = make_grid(-10.0, 10.0, 2001)
         got = integrate(sample(g, lambda x: np.exp(-(x**2))))
         assert abs(got - math.sqrt(math.pi)) < 1e-10
+
+
+class TestSimpsonWeights:
+    def test_formula(self):
+        g = make_grid(-1.0, 2.0, 9)
+        expected = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) * (g.h / 3.0)
+        assert np.array_equal(simpson_weights(g), expected)
+
+    def test_cached_and_read_only(self):
+        g = make_grid(0.0, 1.0, 101)
+        w = simpson_weights(g)
+        assert simpson_weights(g) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+def _hole_fraction_loop(bad) -> float:
+    """Reference: walk the wall-attached bands one node at a time."""
+    n = len(bad)
+    lo = 0
+    while lo < n and bad[lo]:
+        lo += 1
+    hi = n
+    while hi > lo and bad[hi - 1]:
+        hi -= 1
+    return int(np.count_nonzero(bad[lo:hi])) / max(n - 2, 1)
+
+
+class TestInteriorHoleFraction:
+    def test_matches_loop_on_random_masks(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            bad = rng.random(n) < rng.random()
+            assert interior_hole_fraction(bad) == _hole_fraction_loop(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [],
+            [True],
+            [False],
+            [True] * 9,
+            [True, True, False, False, False, True],
+            [False, False, False, False],
+            [True, False, True, False, True],
+        ],
+        ids=["empty", "single-bad", "single-good", "all-bad", "wall-bands", "none", "holes"],
+    )
+    def test_matches_loop_on_edge_cases(self, bad):
+        bad = np.array(bad, dtype=bool)
+        assert interior_hole_fraction(bad) == _hole_fraction_loop(bad)
+
+    def test_values(self):
+        assert interior_hole_fraction(np.ones(9, dtype=bool)) == 0.0
+        assert interior_hole_fraction(np.array([1, 1, 0, 0, 0, 1], dtype=bool)) == 0.0
+        assert interior_hole_fraction(np.array([1, 0, 1, 0, 1], dtype=bool)) == 1 / 3
 
 
 class TestCumulativeIntegral:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from isofokker.darboux import build_chain, partner_drift, partner_pdf
 from isofokker.evolve import FpeSolution, TemporalRule, evolve_pdf, project
 from isofokker.grid import integrate, make_grid, sample, sup_diff
-from isofokker.oracle import CnConfig, cn_evolve, gl_residual
+from isofokker.oracle import CnConfig, _flux_operator, cn_evolve, gl_residual
 from isofokker.scenarios import ou_scenario, ou_transition
 from isofokker.spectral import build_hamiltonian, solve_spectrum
 
@@ -81,6 +83,49 @@ class TestCnEvolve:
         p0 = sample(ou_grid, lambda x: np.exp(-(x**2)))
         with pytest.raises(ValueError, match="mass"):
             cn_evolve(ou_drift, p0, CnConfig(dt=1e-3, t_end=0.1))
+
+
+def _cn_reference(drift, P0, cfg):
+    """Crank-Nicolson steps with a banded factor-and-solve on every step."""
+    lower, diag, upper = _flux_operator(drift)
+    dirichlet = cfg.boundary == "dirichlet-zero"
+    if dirichlet:
+        diag[0] = diag[-1] = 0.0
+        upper[0] = lower[-1] = 0.0
+    half = 0.5 * cfg.dt
+    n = len(diag)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -half * upper[:-1]
+    ab[1, :] = 1.0 - half * diag
+    ab[2, :-1] = -half * lower[1:]
+    p = P0.values.copy()
+    if dirichlet:
+        p[0] = p[-1] = 0.0
+    for _ in range(int(round(cfg.t_end / cfg.dt))):
+        rhs = p + half * (diag * p)
+        rhs[:-1] += half * upper[:-1] * p[1:]
+        rhs[1:] += half * lower[1:] * p[:-1]
+        p = solve_banded((1, 1), ab, rhs)
+    return p
+
+
+class TestCnFactorOnce:
+    @pytest.mark.parametrize("boundary", ["zero-flux", "dirichlet-zero"])
+    def test_ou_matches_per_step_solve(self, ou_drift, gaussian_ic, boundary):
+        cfg = CnConfig(dt=1e-2, t_end=0.3, boundary=boundary)
+        out = cn_evolve(ou_drift, gaussian_ic, cfg)
+        assert np.array_equal(out.values, _cn_reference(ou_drift, gaussian_ic, cfg))
+
+    @pytest.mark.parametrize("boundary", ["zero-flux", "dirichlet-zero"])
+    def test_partner_drift_matches_per_step_solve(self, ou_spectrum, gaussian_ic, boundary):
+        # the two-step partner drift carries masked tails
+        chain = build_chain(ou_spectrum, 2)
+        drift = partner_drift(chain)
+        assert drift.D.mask is not None
+        P0 = partner_pdf(chain, project(gaussian_ic, ou_spectrum), 0.0)
+        cfg = CnConfig(dt=1e-2, t_end=0.3, boundary=boundary)
+        out = cn_evolve(drift, P0, cfg)
+        assert np.array_equal(out.values, _cn_reference(drift, P0, cfg))
 
 
 class TestSpectralVsCn:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from isofokker.grid import (
     write_csv,
 )
 from isofokker.scenarios import (
+    _hermite,
     box_scenario,
     custom_drift,
     ou_reference_state,
@@ -53,6 +57,12 @@ class TestOuScenario:
                 sup_diff(-1.0 * ou_spectrum.state(k), ref),
             )
             assert diff < 5e-4
+
+    def test_hermite_recurrence_matches_power_series(self):
+        y = np.linspace(-6.0, 6.0, 241)
+        for k in range(12):
+            ref = np.polynomial.hermite.hermval(y, [0.0] * k + [1.0])
+            assert np.max(np.abs(_hermite(k, y) - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12, k
 
     def test_transition_closed_form(self):
         mean, var = ou_transition(2.0, 0.5, 0.5)
@@ -156,3 +166,12 @@ class TestCustomDrift:
         path = tmp_path / "tanh.csv"
         write_csv(path, {"D": sample(g, lambda x: -np.tanh(x))})
         assert drift_consistency(custom_drift(path)) < 1e-6
+
+
+def test_import_does_not_load_scipy_special():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, isofokker, isofokker.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

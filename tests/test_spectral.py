@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isofokker.grid import (
+    GridFunction,
     cumulative_integral,
     derivative,
     integrate,
@@ -15,8 +16,11 @@ from isofokker.grid import (
 from isofokker.scenarios import box_scenario, ou_scenario
 from isofokker.spectral import (
     DriftSpec,
+    _unit_state,
     build_hamiltonian,
     ground_state_to_drift,
+    normalized,
+    sign_fixed,
     solve_spectrum,
 )
 
@@ -129,6 +133,31 @@ class TestSolveSpectrum:
         op = build_hamiltonian(sample(ou_grid, lambda x: x**2 / 4.0))
         with pytest.raises(ValueError, match="kmax"):
             solve_spectrum(op, ou_grid.n_points // 4)
+
+
+class TestUnitState:
+    @pytest.mark.parametrize("flip", [1.0, -1.0])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_byte_identical_to_normalized_sign_fixed(self, ou_grid, flip, masked):
+        x = ou_grid.x
+        values = flip * 3.0 * x * np.exp(-(x**2) / 2.0)
+        values[0] = values[-1] = 0.0
+        mask = None
+        if masked:
+            # unreliable tails with non-zero samples, which must be dropped
+            mask = np.abs(x) > 10.0
+            values = np.where(mask, 7.0, values)
+        ref = sign_fixed(normalized(GridFunction(ou_grid, values, mask)))
+        got = _unit_state(ou_grid, values, mask)
+        assert got.values.tobytes() == ref.values.tobytes()
+        if masked:
+            assert np.array_equal(got.mask, ref.mask)
+        else:
+            assert got.mask is None and ref.mask is None
+
+    def test_zero_norm_rejected(self, ou_grid):
+        with pytest.raises(ValueError, match="normalize"):
+            _unit_state(ou_grid, np.zeros(ou_grid.n_points))
 
 
 class TestGroundStateToDrift:
