@@ -40,7 +40,6 @@ from .isospectral import (
     IsoDeformation,
     IsoParams,
     VirtualState,
-    deformed_drift,
     iso_pdf,
     reinstate,
     virtual_state,

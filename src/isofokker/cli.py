@@ -13,6 +13,8 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,9 +29,6 @@ from .spectral import build_hamiltonian, solve_spectrum
 
 SCHEMA_VERSION = 1
 
-# flags whose values may start with '-' (argparse would mistake them for options)
-_DASH_VALUE_FLAGS = ("--grid", "--lambda", "--times", "--zmin", "--zmax")
-
 
 class UsageError(Exception):
     pass
@@ -40,18 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _DASH_VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+class Flag(NamedTuple):
+    """A value flag; ``dest`` is also its config-file key and its key in the report."""
+
+    flag: str
+    dest: str
+    type: Callable[[str], object]
+    default: object
+    help: str
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler and every flag the handler reads."""
+
+    handler: Callable[[dict], int]
+    flags: tuple[Flag, ...]
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -88,28 +90,18 @@ def _parse_floats(text: str) -> list[float]:
         raise UsageError(f"bad number list {text!r}: {exc}") from exc
 
 
-def _resolve(args, file_cfg: dict[str, str], defaults: dict[str, object]) -> dict[str, object]:
-    """Precedence: command-line flag > config file > built-in default."""
-    resolved = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
-    return resolved
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def _scenario_drift(cfg: dict[str, object], grid):
-    name = str(cfg["scenario"])
+    name = cfg["scenario"]
     if name == "ou":
-        return ou_scenario(grid, gamma=float(cfg["gamma"]))
+        return ou_scenario(grid, gamma=cfg["gamma"])
     if name == "box":
         return box_scenario(grid)
     if name == "schwarzschild":
-        _, drift = schwarzschild_potential(float(cfg["temperature"]), grid)
+        _, drift = schwarzschild_potential(cfg["temperature"], grid)
         return drift
     if name.startswith("csv:"):
         try:
@@ -121,7 +113,7 @@ def _scenario_drift(cfg: dict[str, object], grid):
 
 def _default_grid_for(cfg: dict[str, object]):
     if cfg["grid"] is not None:
-        return make_grid(*_parse_grid(str(cfg["grid"])))
+        return make_grid(*_parse_grid(cfg["grid"]))
     if cfg["scenario"] == "box":
         return make_grid(0.0, 1.0, 2001)
     if cfg["scenario"] == "schwarzschild":
@@ -129,118 +121,107 @@ def _default_grid_for(cfg: dict[str, object]):
     return make_grid(-12.0, 12.0, 2001)
 
 
-def _write_report(out_dir: str, name: str, report: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+def _out_path(cfg, name: str) -> str:
+    os.makedirs(cfg["out"], exist_ok=True)
+    return os.path.join(cfg["out"], name)
+
+
+def _emit(cfg, **fields) -> None:
+    """Write ``<command>.json`` (the resolved configuration, then ``fields``) and print it."""
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": cfg["command"],
+        "config": {k: v for k, v in cfg.items() if v is not None},
+        **fields,
+    }
+    with open(_out_path(cfg, f"{cfg['command']}.json"), "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    return path
+    print(json.dumps(report, indent=2))
 
 
 def _spectrum_pipeline(cfg):
     grid = _default_grid_for(cfg)
     drift = _scenario_drift(cfg, grid)
-    kmax = int(cfg["kmax"])
-    spectrum = solve_spectrum(build_hamiltonian(drift.W), kmax)
-    return grid, drift, spectrum
+    return grid, solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
+
+
+def _reinstated(spectrum, lambdas_text: str):
+    """Delete as many levels as there are lambdas, then reinstate them with those parameters."""
+    lambdas = _parse_floats(lambdas_text)
+    if not lambdas:
+        raise UsageError("--lambda needs at least one value")
+    if len(lambdas) >= spectrum.kmax:
+        raise UsageError(f"{len(lambdas)} parameters need kmax > n (got kmax={spectrum.kmax})")
+    return reinstate(build_chain(spectrum, len(lambdas)), IsoParams(lambdas))
 
 
 def cmd_spectrum(cfg) -> int:
-    grid, _, spectrum = _spectrum_pipeline(cfg)
-    out = str(cfg["out"])
+    _, spectrum = _spectrum_pipeline(cfg)
     write_csv(
-        os.path.join(_ensure_out(out), "eigenfunctions.csv"),
+        _out_path(cfg, "eigenfunctions.csv"),
         {f"phi{k}": spectrum.state(k) for k in range(spectrum.kmax + 1)},
     )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "config": _jsonable(cfg),
-        "eigenvalues": list(spectrum.energies),
-    }
-    _write_report(out, "spectrum.json", report)
-    print(json.dumps(report, indent=2))
+    _emit(cfg, eigenvalues=list(spectrum.energies))
     return 0
 
 
 def cmd_darboux(cfg) -> int:
-    steps = int(cfg["steps"])
+    steps = cfg["steps"]
     if steps > 4:
         print(
             "warning: accuracy of repeated numerical differentiation is unvalidated "
             f"beyond 4 steps (got {steps})",
             file=sys.stderr,
         )
-    grid, _, spectrum = _spectrum_pipeline(cfg)
+    _, spectrum = _spectrum_pipeline(cfg)
     if steps >= spectrum.kmax:
         raise UsageError(f"steps={steps} needs kmax > steps (got kmax={spectrum.kmax})")
     chain = build_chain(spectrum, steps)
-    out = _ensure_out(str(cfg["out"]))
     drifts = {f"D{s}": partner_drift(chain, s).D for s in range(1, steps + 1)}
-    write_csv(os.path.join(out, "darboux_drifts.csv"), drifts)
+    write_csv(_out_path(cfg, "darboux_drifts.csv"), drifts)
     write_csv(
-        os.path.join(out, "darboux_states.csv"),
+        _out_path(cfg, "darboux_states.csv"),
         {f"phi{k}_stage{steps}": chain.state(steps, k) for k in range(steps, spectrum.kmax + 1)},
     )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "darboux",
-        "config": _jsonable(cfg),
-        "stage_energies": {str(s): list(chain.stage_energies[s]) for s in range(steps + 1)},
-    }
-    _write_report(str(cfg["out"]), "darboux.json", report)
-    print(json.dumps(report, indent=2))
+    _emit(cfg, stage_energies={str(s): list(chain.stage_energies[s]) for s in range(steps + 1)})
     return 0
 
 
 def cmd_deform(cfg) -> int:
-    lambdas = _parse_floats(str(cfg["lambdas"]))
-    if not lambdas:
-        raise UsageError("--lambda needs at least one value")
-    grid, _, spectrum = _spectrum_pipeline(cfg)
-    if len(lambdas) > spectrum.kmax:
-        raise UsageError(f"{len(lambdas)} parameters need kmax > n (got kmax={spectrum.kmax})")
-    chain = build_chain(spectrum, len(lambdas))
-    try:
-        deformation = reinstate(chain, IsoParams(lambdas))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    out = _ensure_out(str(cfg["out"]))
+    if cfg["lambdas"] is None:
+        raise UsageError("deform requires --lambda")
+    _, spectrum = _spectrum_pipeline(cfg)
+    deformation = _reinstated(spectrum, cfg["lambdas"])
     stationary = deformation.states[0] * deformation.states[0]
     write_csv(
-        os.path.join(out, "deformed_drift.csv"),
+        _out_path(cfg, "deformed_drift.csv"),
         {"D": deformation.drift.D, "W": deformation.drift.W, "stationary": stationary},
     )
     write_csv(
-        os.path.join(out, "virtual_states.csv"),
-        {f"Phi{s}": deformation.dressed_virtuals[s] for s in range(len(lambdas))},
+        _out_path(cfg, "virtual_states.csv"),
+        {f"Phi{s}": v for s, v in enumerate(deformation.dressed_virtuals)},
     )
-    kcheck = min(spectrum.kmax - 2, spectrum.kmax)
+    kcheck = spectrum.kmax - 2
     resolved = solve_spectrum(build_hamiltonian(deformation.drift.W), kcheck)
     # the reinstated operator is isospectral to the original shifted to a
     # zero ground level; the shift vanishes for conservative scenarios
     reference = spectrum.energies[: kcheck + 1] - spectrum.energies[0]
-    diffs = np.abs(resolved.energies - reference)
-    max_diff = float(np.max(diffs))
+    max_diff = _max_abs(resolved.energies - reference)
     passed = max_diff <= 5e-3
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "deform",
-        "config": _jsonable(cfg),
-        "original_eigenvalues": list(spectrum.energies[: kcheck + 1]),
-        "original_eigenvalues_shifted": list(reference),
-        "deformed_eigenvalues": list(resolved.energies),
-        "max_abs_eig_diff": max_diff,
-        "isospectral": passed,
-    }
-    _write_report(str(cfg["out"]), "deform.json", report)
-    print(json.dumps(report, indent=2))
+    _emit(
+        cfg,
+        original_eigenvalues=list(spectrum.energies[: kcheck + 1]),
+        original_eigenvalues_shifted=list(reference),
+        deformed_eigenvalues=list(resolved.energies),
+        max_abs_eig_diff=max_diff,
+        isospectral=passed,
+    )
     return 0 if passed else 2
 
 
 def _initial_condition(cfg, grid) -> GridFunction:
-    spec = str(cfg["ic"])
+    spec = cfg["ic"]
     if spec.startswith("gaussian:"):
         try:
             mean, var = (float(v) for v in spec[len("gaussian:") :].split(","))
@@ -275,24 +256,20 @@ def _initial_condition(cfg, grid) -> GridFunction:
 
 
 def cmd_evolve(cfg) -> int:
-    times = _parse_floats(str(cfg["times"]))
+    times = _parse_floats(cfg["times"])
     if not times or any(t < 0 for t in times):
         raise UsageError("--times needs non-negative values")
-    grid, _, spectrum = _spectrum_pipeline(cfg)
+    grid, spectrum = _spectrum_pipeline(cfg)
     if cfg["alpha"] is None:
         rule = TemporalRule.classical()
     else:
-        alpha = float(cfg["alpha"])
+        alpha = cfg["alpha"]
         if not 0.0 < alpha < 1.0:
             raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
         rule = TemporalRule.fractional(alpha)
     P0 = _initial_condition(cfg, grid)
-    try:
-        coeffs = project(P0, spectrum)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    coeffs = project(P0, spectrum)
     sol = FpeSolution(spectrum, coeffs, rule)
-    out = _ensure_out(str(cfg["out"]))
     columns = {}
     stats = []
     for t in times:
@@ -300,264 +277,268 @@ def cmd_evolve(cfg) -> int:
         columns[f"P_t{t:g}"] = P
         m0, m1, m2 = moments(P, [0, 1, 2])
         stats.append({"t": t, "mass": m0, "mean": m1 / m0, "variance": m2 / m0 - (m1 / m0) ** 2})
-    write_csv(os.path.join(out, "evolution.csv"), columns)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "evolve",
-        "config": _jsonable(cfg),
-        "coefficients": list(coeffs),
-        "truncation_residual_l1": truncation_residual(sol, P0),
-        "moments": stats,
-    }
-    _write_report(str(cfg["out"]), "evolve.json", report)
-    print(json.dumps(report, indent=2))
+    write_csv(_out_path(cfg, "evolution.csv"), columns)
+    _emit(
+        cfg,
+        coefficients=list(coeffs),
+        truncation_residual_l1=truncation_residual(sol, P0),
+        moments=stats,
+    )
     return 0
 
 
 def cmd_ml(cfg) -> int:
-    alpha = float(cfg["alpha"])
-    zmin, zmax = float(cfg["zmin"]), float(cfg["zmax"])
-    steps = int(cfg["steps"])
+    zmin, zmax, steps = cfg["zmin"], cfg["zmax"], cfg["steps"]
     if zmax > 0 or zmin > zmax:
         raise UsageError("need zmin <= zmax <= 0")
     if steps < 2:
         raise UsageError("need at least 2 table points")
     zs = np.linspace(zmin, zmax, steps)
-    try:
-        vals = ml_relaxation(alpha, -zs, 1.0)  # E_alpha(z): the factor at rate -z and t = 1
-    except (ValueError, ArithmeticError) as exc:
-        raise UsageError(str(exc)) from exc
-    out = _ensure_out(str(cfg["out"]))
-    path = os.path.join(out, "mittag_leffler.csv")
+    vals = ml_relaxation(cfg["alpha"], -zs, 1.0)  # E_alpha(z): the factor at rate -z and t = 1
+    path = _out_path(cfg, "mittag_leffler.csv")
     with open(path, "w") as fh:
         fh.write("z,E_alpha\n")
         for z, v in zip(zs, vals):
             fh.write(f"{z:.17g},{v:.17g}\n")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ml",
-        "config": _jsonable(cfg),
-        "table": path,
-    }
-    _write_report(str(cfg["out"]), "ml.json", report)
-    print(json.dumps(report, indent=2))
+    _emit(cfg, table=path)
     return 0
 
 
 def cmd_blackhole(cfg) -> int:
-    T = float(cfg["temperature"])
-    rmin, rmax = float(cfg["rmin"]), float(cfg["rmax"])
-    n = int(cfg["rpoints"])
-    grid = make_grid(rmin, rmax, n)
-    try:
-        thermal, drift = schwarzschild_potential(T, grid)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    T = cfg["temperature"]
+    thermal, drift = schwarzschild_potential(T, make_grid(cfg["rmin"], cfg["rmax"], cfg["rpoints"]))
     columns = {"U": thermal.U, "D": drift.D}
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "blackhole",
-        "config": _jsonable(cfg),
-        "equilibrium_radius": 1.0 / (4.0 * math.pi * T),
-    }
+    fields = {"equilibrium_radius": 1.0 / (4.0 * math.pi * T)}
     if cfg["lambdas"] is not None:
-        lambdas = _parse_floats(str(cfg["lambdas"]))
-        kmax = int(cfg["kmax"])
-        spectrum = solve_spectrum(build_hamiltonian(drift.W), kmax)
-        chain = build_chain(spectrum, len(lambdas))
-        try:
-            deformation = reinstate(chain, IsoParams(lambdas))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        spectrum = solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
+        deformation = _reinstated(spectrum, cfg["lambdas"])
         # deformed drift potential: U^ = 2 W^
         columns["U_deformed"] = 2.0 * deformation.drift.W
         columns["D_deformed"] = deformation.drift.D
-        report["eigenvalues"] = list(spectrum.energies)
-    out = _ensure_out(str(cfg["out"]))
-    write_csv(os.path.join(out, "blackhole.csv"), columns)
-    _write_report(str(cfg["out"]), "blackhole.json", report)
-    print(json.dumps(report, indent=2))
+        fields["eigenvalues"] = list(spectrum.energies)
+    write_csv(_out_path(cfg, "blackhole.csv"), columns)
+    _emit(cfg, **fields)
     return 0
 
 
-def _verify_checks(cfg) -> list[dict]:
-    checks = []
+class Check(NamedTuple):
+    """One acceptance check: it passes when ``measure(context) <= tolerance``."""
 
-    def record(name: str, measured: float, tolerance: float):
-        checks.append(
-            {
-                "name": name,
-                "measured": float(measured),
-                "tolerance": float(tolerance),
-                "passed": bool(measured <= tolerance),
-            }
-        )
+    name: str
+    tolerance: float
+    measure: Callable[[SimpleNamespace], float]
 
+
+def verify_context() -> SimpleNamespace:
+    """The desk-scale setup that the checks of ``VERIFY_CHECKS`` measure.
+
+    OU drift on [-12, 12] with 2001 nodes and eight levels; a unit-mass
+    Gaussian ``P0`` (mean 2, variance 1/2), its coefficients and its
+    classical density ``P1`` at t = 1; the one-step Darboux chain, its
+    partner drift and its reinstatement with lambda = 0.5.
+    """
     grid = make_grid(-12.0, 12.0, 2001)
     drift = ou_scenario(grid)
     spectrum = solve_spectrum(build_hamiltonian(drift.W), 7)
-    record(
-        "ou_spectrum_vs_integers",
-        float(np.max(np.abs(spectrum.energies - np.arange(8)))),
-        1e-3,
-    )
-
     P0 = sample(grid, lambda x: np.exp(-((x - 2.0) ** 2)) / math.sqrt(math.pi))
     coeffs = project(P0, spectrum)
-    sol = FpeSolution(spectrum, coeffs, TemporalRule.classical())
-    cn = cn_evolve(drift, P0, CnConfig(dt=1e-3, t_end=1.0))
-    record("ou_spectral_vs_cn_t1", sup_diff(evolve_pdf(sol, 1.0), cn), 5e-3)
-    record("ou_mass_conservation", abs(integrate(evolve_pdf(sol, 1.0)) - coeffs[0]), 1e-6)
-
+    P1 = evolve_pdf(FpeSolution(spectrum, coeffs, TemporalRule.classical()), 1.0)
     chain = build_chain(spectrum, 1)
-    partner = partner_drift(chain)
-    record(
-        "darboux_shape_invariance",
-        sup_diff(partner.D, drift.D, window=(-8.0, 8.0)),
-        1e-3,
-    )
-    Pp0 = partner_pdf(chain, coeffs, 0.0)
-    cnp = cn_evolve(partner, Pp0, CnConfig(dt=1e-3, t_end=1.0))
-    record("partner_spectral_vs_cn_t1", sup_diff(partner_pdf(chain, coeffs, 1.0), cnp), 5e-3)
-
-    deformation = reinstate(chain, IsoParams([0.5]))
-    Pi0 = iso_pdf(deformation, coeffs, 0.0)
-    cni = cn_evolve(deformation.drift, Pi0, CnConfig(dt=1e-3, t_end=1.0))
-    record("deformed_spectral_vs_cn_t1", sup_diff(iso_pdf(deformation, coeffs, 1.0), cni), 5e-3)
-    resolved = solve_spectrum(build_hamiltonian(deformation.drift.W), 5)
-    record(
-        "isospectrality_resolve",
-        float(np.max(np.abs(resolved.energies - spectrum.energies[:6]))),
-        5e-3,
+    return SimpleNamespace(
+        drift=drift, spectrum=spectrum, P0=P0, coeffs=coeffs, P1=P1, chain=chain,
+        partner=partner_drift(chain), deformation=reinstate(chain, IsoParams([0.5])),
     )
 
-    frac = FpeSolution(spectrum, coeffs, TemporalRule.fractional(0.999))
-    record("alpha_to_1_consistency", sup_diff(evolve_pdf(frac, 1.0), evolve_pdf(sol, 1.0)), 5e-3)
-    fmass = FpeSolution(spectrum, coeffs, TemporalRule.fractional(0.5))
-    record("fractional_mass_conservation", abs(integrate(evolve_pdf(fmass, 2.0)) - coeffs[0]), 1e-6)
 
-    record("ml_classical_limit", abs(mittag_leffler(1.0, -1.0) - math.exp(-1.0)), 1e-10)
-    record("ml_erfc_identity", abs(mittag_leffler(0.5, -1.0) - math.e * math.erfc(1.0)), 1e-8)
-    r1 = gl_residual(0.5, 1.0, 1e-3, 1.0)
-    r2 = gl_residual(0.5, 1.0, 5e-4, 1.0)
-    record("gl_halving_ratio_dev", abs(r2 / r1 - 0.5), 0.1)
+def _fractional(ctx, alpha: float, t: float):
+    return evolve_pdf(FpeSolution(ctx.spectrum, ctx.coeffs, TemporalRule.fractional(alpha)), t)
 
+
+def _cn_gap(drift, p0, p1) -> float:
+    """Sup distance of a spectral density at t = 1 from Crank-Nicolson started at p0."""
+    return sup_diff(p1, cn_evolve(drift, p0, CnConfig(dt=1e-3, t_end=1.0)))
+
+
+def _schwarzschild_reconstruction(ctx) -> float:
+    """Cumulative (T_H - T) dS from the inner edge against U, at T = 1/(4 pi)."""
     rgrid = make_grid(0.1, 3.0, 581)
     T = 1.0 / (4.0 * math.pi)
     thermal, _ = schwarzschild_potential(T, rgrid)
     integrand = sample(rgrid, lambda r: (1.0 / (4.0 * math.pi * r) - T) * 2.0 * math.pi * r)
-    rec = cumulative_integral(integrand) + float(thermal.U.values[0])
-    record("schwarzschild_potential_reconstruction", sup_diff(rec, thermal.U), 1e-6)
-    return checks
+    return sup_diff(cumulative_integral(integrand) + float(thermal.U.values[0]), thermal.U)
+
+
+# The checks of `isofokker verify`, in report order; tests/test_acceptance.py runs the same list.
+VERIFY_CHECKS = (
+    Check("ou_spectrum_vs_integers", 1e-3, lambda c: _max_abs(c.spectrum.energies - np.arange(8))),
+    Check("ou_spectral_vs_cn_t1", 5e-3, lambda c: _cn_gap(c.drift, c.P0, c.P1)),
+    Check("ou_mass_conservation", 1e-6, lambda c: abs(integrate(c.P1) - c.coeffs[0])),
+    Check("darboux_shape_invariance", 1e-3, lambda c: sup_diff(c.partner.D, c.drift.D, window=(-8.0, 8.0))),
+    Check(
+        "partner_spectral_vs_cn_t1",
+        5e-3,
+        lambda c: _cn_gap(
+            c.partner, partner_pdf(c.chain, c.coeffs, 0.0), partner_pdf(c.chain, c.coeffs, 1.0)
+        ),
+    ),
+    Check(
+        "deformed_spectral_vs_cn_t1",
+        5e-3,
+        lambda c: _cn_gap(
+            c.deformation.drift,
+            iso_pdf(c.deformation, c.coeffs, 0.0),
+            iso_pdf(c.deformation, c.coeffs, 1.0),
+        ),
+    ),
+    Check(
+        "isospectrality_resolve",
+        5e-3,
+        lambda c: _max_abs(
+            solve_spectrum(build_hamiltonian(c.deformation.drift.W), 5).energies
+            - c.spectrum.energies[:6]
+        ),
+    ),
+    Check("alpha_to_1_consistency", 5e-3, lambda c: sup_diff(_fractional(c, 0.999, 1.0), c.P1)),
+    Check(
+        "fractional_mass_conservation",
+        1e-6,
+        lambda c: abs(integrate(_fractional(c, 0.5, 2.0)) - c.coeffs[0]),
+    ),
+    Check("ml_classical_limit", 1e-10, lambda c: abs(mittag_leffler(1.0, -1.0) - math.exp(-1.0))),
+    Check("ml_erfc_identity", 1e-8, lambda c: abs(mittag_leffler(0.5, -1.0) - math.e * math.erfc(1.0))),
+    Check(
+        "gl_halving_ratio_dev",
+        0.1,
+        lambda c: abs(gl_residual(0.5, 1.0, 5e-4, 1.0) / gl_residual(0.5, 1.0, 1e-3, 1.0) - 0.5),
+    ),
+    Check("schwarzschild_potential_reconstruction", 1e-6, _schwarzschild_reconstruction),
+)
 
 
 def cmd_verify(cfg) -> int:
-    checks = _verify_checks(cfg)
+    ctx = verify_context()
+    checks = []
+    for name, tolerance, measure in VERIFY_CHECKS:
+        measured = float(measure(ctx))
+        passed = measured <= tolerance
+        checks.append({"name": name, "measured": measured, "tolerance": float(tolerance), "passed": passed})
     all_passed = all(c["passed"] for c in checks)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "config": _jsonable(cfg),
-        "checks": checks,
-        "all_passed": all_passed,
-    }
-    _write_report(str(cfg["out"]), "verify.json", report)
-    print(json.dumps(report, indent=2))
+    _emit(cfg, checks=checks, all_passed=all_passed)
     return 0 if all_passed else 2
 
 
-def _ensure_out(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    return out
+_OUT = Flag("--out", "out", str, None, "output directory (default $ISOFOKKER_OUT or .)")
+_KMAX = Flag("--kmax", "kmax", int, 8, "number of solved levels minus one")
+_TEMPERATURE = Flag("--temperature", "temperature", float, 1.0 / (4.0 * math.pi), "ensemble temperature")
+# what _spectrum_pipeline reads
+_SCENARIO = (
+    Flag("--scenario", "scenario", str, "ou", "ou | box | schwarzschild | csv:PATH"),
+    Flag("--grid", "grid", str, None, "c1:c2:n_points, e.g. -12:12:2001"),
+    _KMAX,
+    Flag("--gamma", "gamma", float, 1.0, "OU stiffness"),
+    _TEMPERATURE,
+    _OUT,
+)
 
-
-def _jsonable(cfg: dict[str, object]) -> dict[str, object]:
-    return {k: v for k, v in cfg.items() if v is not None}
-
-
-_COMMON_DEFAULTS = {
-    "scenario": "ou",
-    "grid": None,
-    "kmax": 8,
-    "gamma": 1.0,
-    "temperature": 1.0 / (4.0 * math.pi),
-    "out": None,
+COMMANDS = {
+    "spectrum": Command(cmd_spectrum, _SCENARIO),
+    "darboux": Command(
+        cmd_darboux, _SCENARIO + (Flag("--steps", "steps", int, 1, "number of deleted levels"),)
+    ),
+    "deform": Command(
+        cmd_deform, _SCENARIO + (Flag("--lambda", "lambdas", str, None, "comma list lambda0,..."),)
+    ),
+    "evolve": Command(
+        cmd_evolve,
+        _SCENARIO
+        + (
+            Flag("--times", "times", str, "1.0", "comma list of evaluation times"),
+            Flag("--alpha", "alpha", float, None, "fractional order (omit for classical)"),
+            Flag("--ic", "ic", str, "gaussian:2,0.5", "gaussian:mean,var | csv:PATH"),
+        ),
+    ),
+    "ml": Command(
+        cmd_ml,
+        (
+            _OUT,
+            Flag("--alpha", "alpha", float, 0.5, "Mittag-Leffler order in (0, 1]"),
+            Flag("--zmin", "zmin", float, -10.0, "first table argument"),
+            Flag("--zmax", "zmax", float, 0.0, "last table argument, <= 0"),
+            Flag("--steps", "steps", int, 101, "table points"),
+        ),
+    ),
+    "blackhole": Command(
+        cmd_blackhole,
+        (
+            _KMAX,
+            _TEMPERATURE,
+            _OUT,
+            Flag("--rmin", "rmin", float, 0.1, "inner horizon radius"),
+            Flag("--rmax", "rmax", float, 3.0, "outer horizon radius"),
+            Flag("--rpoints", "rpoints", int, 581, "radial grid points"),
+            Flag("--lambda", "lambdas", str, None, "deform the thermal potential"),
+        ),
+    ),
+    "verify": Command(cmd_verify, (_OUT,)),
 }
-
-
-def _add_common(sub):
-    sub.add_argument("--scenario", help="ou | box | schwarzschild | csv:PATH")
-    sub.add_argument("--grid", help="c1:c2:n_points, e.g. -12:12:2001")
-    sub.add_argument("--kmax", type=int, help="number of solved levels minus one")
-    sub.add_argument("--gamma", type=float, help="OU stiffness")
-    sub.add_argument("--temperature", type=float, help="ensemble temperature (schwarzschild)")
-    sub.add_argument("--config", help="flat key=value config file; flags override")
-    sub.add_argument("--out", help="output directory (default $ISOFOKKER_OUT or .)")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="isofokker", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("spectrum", "darboux", "deform", "evolve", "ml", "blackhole", "verify"):
+    for name, command in COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "darboux":
-            sub.add_argument("--steps", type=int, help="number of deleted levels")
-        if name == "deform":
-            sub.add_argument("--lambda", dest="lambdas", help="comma list lambda0,lambda1,...")
-        if name == "evolve":
-            sub.add_argument("--times", help="comma list of evaluation times")
-            sub.add_argument("--alpha", type=float, help="fractional order (omits => classical)")
-            sub.add_argument("--ic", help="gaussian:mean,var | csv:PATH")
-        if name == "ml":
-            sub.add_argument("--alpha", type=float, help="Mittag-Leffler order in (0, 1]")
-            sub.add_argument("--zmin", type=float)
-            sub.add_argument("--zmax", type=float)
-            sub.add_argument("--steps", type=int, help="table points")
-        if name == "blackhole":
-            sub.add_argument("--rmin", type=float)
-            sub.add_argument("--rmax", type=float)
-            sub.add_argument("--rpoints", type=int)
-            sub.add_argument("--lambda", dest="lambdas", help="deform the thermal potential")
-            sub.add_argument("--steps", type=int, help=argparse.SUPPRESS)
+        for f in command.flags:
+            sub.add_argument(f.flag, dest=f.dest, type=f.type, help=f.help)
+        sub.add_argument("--config", help="flat key=value config file; flags override")
     return parser
 
 
-_COMMANDS = {
-    "spectrum": (cmd_spectrum, {}),
-    "darboux": (cmd_darboux, {"steps": 1}),
-    "deform": (cmd_deform, {"lambdas": None}),
-    "evolve": (cmd_evolve, {"times": "1.0", "alpha": None, "ic": "gaussian:2,0.5"}),
-    "ml": (cmd_ml, {"alpha": 0.5, "zmin": -10.0, "zmax": 0.0, "steps": 101}),
-    "blackhole": (
-        cmd_blackhole,
-        {"rmin": 0.1, "rmax": 3.0, "rpoints": 581, "lambdas": None},
-    ),
-    "verify": (cmd_verify, {}),
-}
+def _merge_dash_values(argv: list[str]) -> list[str]:
+    """Join each value flag to its value: argparse takes a value starting with '-' for an option."""
+    value_flags = {"--config"} | {f.flag for command in COMMANDS.values() for f in command.flags}
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in value_flags and i + 1 < len(argv):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
+def _resolve(args, file_cfg: dict[str, str]) -> dict[str, object]:
+    """Precedence: command-line flag > config file > built-in default."""
+    flags = COMMANDS[args.command].flags
+    unknown = sorted(set(file_cfg) - {f.dest for f in flags})
+    if unknown:
+        raise UsageError(f"config file key(s) not taken by {args.command}: {', '.join(unknown)}")
+    cfg = {}
+    for f in flags:
+        value = getattr(args, f.dest)
+        if value is None and f.dest in file_cfg:
+            try:
+                value = f.type(file_cfg[f.dest])
+            except ValueError as exc:
+                raise UsageError(f"config file {f.dest} = {file_cfg[f.dest]!r}: {exc}") from exc
+        cfg[f.dest] = f.default if value is None else value
+    return cfg
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_dash_values(argv))
+        args = _build_parser().parse_args(_merge_dash_values(argv))
         file_cfg = _load_config_file(args.config) if args.config else {}
-        handler, extra_defaults = _COMMANDS[args.command]
-        defaults = dict(_COMMON_DEFAULTS)
-        defaults.update(extra_defaults)
-        cfg = _resolve(args, file_cfg, defaults)
+        cfg = _resolve(args, file_cfg)
         if cfg["out"] is None:
             cfg["out"] = os.environ.get("ISOFOKKER_OUT", ".")
         cfg["command"] = args.command
-        if cfg.get("lambdas") is None and args.command == "deform":
-            raise UsageError("deform requires --lambda")
-        return handler(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return COMMANDS[args.command].handler(cfg)
+    except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

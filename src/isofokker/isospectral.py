@@ -31,7 +31,6 @@ __all__ = [
     "IsoDeformation",
     "virtual_state",
     "reinstate",
-    "deformed_drift",
     "iso_pdf",
 ]
 
@@ -69,7 +68,8 @@ class IsoDeformation:
 
     ``b_kernels[s]`` holds (ln|Phi_s^{-1}|)' for the fully dressed Phi_s;
     ``states[k]`` is the deformed eigenstate at the original energy
-    ``energies[k]``.
+    ``energies[k]``; ``drift`` is the deformed process's drift
+    2 (ln|phi^_0|)', for one parameter D - 2 d/dx ln(I_0 + lambda_0).
     """
 
     params: IsoParams
@@ -184,15 +184,6 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         energies=chain.base.energies.copy(),
         drift=drift,
     )
-
-
-def deformed_drift(deformation: IsoDeformation) -> DriftSpec:
-    """Drift of the deformed process, 2 (ln|phi^_0|)'.
-
-    For a single parameter this reduces to
-    D - 2 d/dx ln(I_0 + lambda_0) in closed form.
-    """
-    return deformation.drift
 
 
 def iso_pdf(deformation: IsoDeformation, coeffs, t: float, temporal=None) -> GridFunction:

@@ -1,12 +1,16 @@
 import json
 import math
-import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isofokker.cli import UsageError, _initial_condition, main
+import isofokker.cli as cli
+from isofokker.cli import VERIFY_CHECKS, UsageError, _initial_condition, main
 from isofokker.grid import integrate, make_grid, read_csv_columns
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +67,12 @@ class TestDeformCommand:
         rc, _, err = run_cli(capsys, "deform", "--out", str(tmp_path))
         assert rc == 1
         assert "lambda" in err
+
+    @pytest.mark.parametrize("lambdas, kmax", [("0.5", "1"), ("0.5,0.5", "2")])
+    def test_kmax_not_above_parameter_count_exits_one(self, capsys, tmp_path, lambdas, kmax):
+        rc, _, err = run_cli(capsys, "deform", "--lambda", lambdas, "--kmax", kmax, "--out", str(tmp_path))
+        assert rc == 1
+        assert "need kmax > n" in err
 
 
 class TestEvolveCommand:
@@ -139,6 +149,11 @@ class TestEvolveCommand:
         rc, _, err = run_cli(capsys, "evolve", "--times", "0.5", "--ic", f"csv:{ic}", "--out", str(tmp_path))
         assert rc == 1
         assert "non-finite" in err
+
+    def test_guard_failure_reported_as_error(self, capsys, tmp_path, coarse_ml_rule):
+        rc, _, err = run_cli(capsys, "evolve", "--alpha", "0.5", "--out", str(tmp_path))
+        assert rc == 1
+        assert err.startswith("error:") and "differ" in err
 
     def test_bad_ic_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "evolve", "--ic", "circle:1", "--out", str(tmp_path))
@@ -239,6 +254,29 @@ class TestConfigHandling:
         assert rc == 1
         assert "key=value" in err
 
+    @pytest.mark.parametrize("command, key", [("spectrum", "kmx"), ("ml", "kmax")], ids=["typo", "not-taken"])
+    def test_key_the_command_does_not_take_exits_one(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 3\n")
+        rc, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+        assert rc == 1
+        assert key in err
+
+    def test_file_value_of_wrong_type_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kmax = abc\n")
+        rc, _, err = run_cli(capsys, "spectrum", "--config", str(cfg), "--out", str(tmp_path))
+        assert rc == 1
+        assert "kmax" in err and "abc" in err
+
+    def test_file_values_take_the_flag_type(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kmax = 3\ngamma = 2\n")
+        rc, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg), "--out", str(tmp_path))
+        assert rc == 0
+        config = json.loads(out)["config"]
+        assert config["kmax"] == 3 and config["gamma"] == 2.0
+
     def test_env_var_default_out(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ISOFOKKER_OUT", str(tmp_path / "envout"))
         rc, _, _ = run_cli(capsys, "spectrum", "--kmax", "2")
@@ -253,3 +291,59 @@ class TestConfigHandling:
         assert run_cli(capsys, *args)[0] == 0
         for n in names:
             assert (tmp_path / n).read_bytes() == first[n]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "--kmax", "3"), ("ml", "--scenario", "ou"), ("blackhole", "--steps", "3")],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_flag_the_command_does_not_read_exits_one(self, capsys, tmp_path, argv):
+        rc, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert rc == 1
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("spectrum", "--gamma", "-1e-3"), "gamma must be positive"), (("ml", "--alpha", "-1e-1"), "alpha")],
+        ids=["gamma", "alpha"],
+    )
+    def test_values_may_start_with_dash(self, capsys, tmp_path, argv, message):
+        rc, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert rc == 1
+        assert message in err and "expected one argument" not in err
+
+
+class TestVerifyCommand:
+    def test_passes_with_the_registry_checks(self, capsys, tmp_path):
+        rc, out, _ = run_cli(capsys, "verify", "--out", str(tmp_path))
+        assert rc == 0
+        report = json.loads(out)
+        assert report["all_passed"] is True
+        assert [c["name"] for c in report["checks"]] == [check.name for check in VERIFY_CHECKS]
+        assert json.loads((tmp_path / "verify.json").read_text()) == report
+
+    def test_failed_check_exits_two(self, capsys, tmp_path, monkeypatch):
+        failing = (VERIFY_CHECKS[0]._replace(tolerance=0.0),) + VERIFY_CHECKS[1:]
+        monkeypatch.setattr(cli, "VERIFY_CHECKS", failing)
+        rc, out, _ = run_cli(capsys, "verify", "--out", str(tmp_path))
+        assert rc == 2
+        report = json.loads(out)
+        assert report["all_passed"] is False
+        assert [c["passed"] for c in report["checks"]] == [False] + [True] * (len(failing) - 1)
+
+
+def readme_command_lines() -> list[str]:
+    """The lines of the ``sh`` block under "## Command line" in README.md."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_command_lines(), ids=lambda line: line.split()[1])
+def test_readme_command_line_runs(capsys, tmp_path, line):
+    argv = shlex.split(line)
+    assert argv[0] == "isofokker"
+    rc, _, err = run_cli(capsys, *argv[1:], "--out", str(tmp_path))
+    assert rc == 0, err

@@ -14,7 +14,6 @@ from isofokker.grid import (
 )
 from isofokker.isospectral import (
     IsoParams,
-    deformed_drift,
     iso_pdf,
     reinstate,
     virtual_state,
@@ -129,21 +128,21 @@ class TestDeformedDrift:
         I0 = cumulative_integral(phi0 * phi0)
         base = ground_state_to_drift(phi0)
         closed = base.D - 2.0 * phi0 * phi0 * (1.0 / (I0 + 0.5))
-        got = deformed_drift(defo_half).D
+        got = defo_half.drift.D
         assert sup_diff(got, closed, window=(-8, 8)) < 1e-4
 
     def test_large_lambda_recovers_original(self, ou_chain2, ou_grid):
         ref = sample(ou_grid, lambda x: -x)
         d_million = reinstate(ou_chain2, IsoParams([1e6]))
         d_thousand = reinstate(ou_chain2, IsoParams([1e3]))
-        r_million = sup_diff(deformed_drift(d_million).D, ref, window=(-8, 8))
-        r_thousand = sup_diff(deformed_drift(d_thousand).D, ref, window=(-8, 8))
+        r_million = sup_diff(d_million.drift.D, ref, window=(-8, 8))
+        r_thousand = sup_diff(d_thousand.drift.D, ref, window=(-8, 8))
         assert r_million <= 1e-3
         assert r_thousand > r_million  # monotone approach
 
     def test_deformation_breaks_parity(self, defo_half):
         # the original drift is odd; the deformed one is not
-        D = deformed_drift(defo_half).D
+        D = defo_half.drift.D
         keep = D.unmasked() & D.unmasked()[::-1]
         asym = np.abs(D.values + D.values[::-1])
         assert np.max(asym[keep]) > 0.1
