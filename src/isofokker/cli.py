@@ -146,14 +146,19 @@ def _spectrum_pipeline(cfg):
     return grid, solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
 
 
-def _reinstated(spectrum, lambdas_text: str):
-    """Delete as many levels as there are lambdas, then reinstate them with those parameters."""
+def _reinstated(spectrum, lambdas_text: str, levels_above: int):
+    """Delete as many levels as there are lambdas, then reinstate them with those parameters.
+
+    The spectrum must reach ``levels_above`` levels above the n deleted ones.
+    """
     lambdas = _parse_floats(lambdas_text)
     if not lambdas:
         raise UsageError("--lambda needs at least one value")
-    if len(lambdas) >= spectrum.kmax:
-        raise UsageError(f"{len(lambdas)} parameters need kmax > n (got kmax={spectrum.kmax})")
-    return reinstate(build_chain(spectrum, len(lambdas)), IsoParams(lambdas))
+    n = len(lambdas)
+    if spectrum.kmax < n + levels_above:
+        least = "n" if levels_above == 1 else f"n + {levels_above - 1}"
+        raise UsageError(f"{n} parameters need kmax > {least} (got kmax={spectrum.kmax})")
+    return reinstate(build_chain(spectrum, n), IsoParams(lambdas))
 
 
 def cmd_spectrum(cfg) -> int:
@@ -192,7 +197,9 @@ def cmd_deform(cfg) -> int:
     if cfg["lambdas"] is None:
         raise UsageError("deform requires --lambda")
     _, spectrum = _spectrum_pipeline(cfg)
-    deformation = _reinstated(spectrum, cfg["lambdas"])
+    # the check below compares levels 0..kmax-2, which with kmax >= n + 2
+    # include level n, the first one carried through the chain
+    deformation = _reinstated(spectrum, cfg["lambdas"], 2)
     stationary = deformation.states[0] * deformation.states[0]
     write_csv(
         _out_path(cfg, "deformed_drift.csv"),
@@ -311,7 +318,7 @@ def cmd_blackhole(cfg) -> int:
     fields = {"equilibrium_radius": 1.0 / (4.0 * math.pi * T)}
     if cfg["lambdas"] is not None:
         spectrum = solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
-        deformation = _reinstated(spectrum, cfg["lambdas"])
+        deformation = _reinstated(spectrum, cfg["lambdas"], 1)
         # deformed drift potential: U^ = 2 W^
         columns["U_deformed"] = 2.0 * deformation.drift.W
         columns["D_deformed"] = deformation.drift.D

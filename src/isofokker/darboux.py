@@ -12,12 +12,13 @@ both routes are implemented so they can cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .evolve import TemporalRule, _expansion
 from .grid import GridFunction, derivative, interior_hole_fraction, log_derivative
-from .spectral import DriftSpec, Spectrum, _unit_state, ground_state_to_drift
+from .spectral import DriftSpec, Spectrum, StateStack, _stack, _unit_state, ground_state_to_drift
 
 __all__ = [
     "DarbouxChain",
@@ -57,6 +58,11 @@ class DarbouxChain:
     @property
     def kmax(self) -> int:
         return self.base.kmax
+
+    @cached_property
+    def stack(self) -> StateStack:
+        """The last stage's states, the partner basis, as one stack built once."""
+        return _stack(self.stage_states[self.n_steps])
 
 
 def _check_contamination(f: GridFunction) -> None:
@@ -211,4 +217,4 @@ def partner_pdf(chain: DarbouxChain, coeffs, t: float, temporal=None) -> GridFun
         raise ValueError("all coefficients above the deleted levels vanish; no mass to evolve")
     rule = TemporalRule.classical() if temporal is None else temporal
     factors = rule.factors(chain.stage_energies[n][: len(used)], t)
-    return _expansion(chain.stage_states[n], used, factors, normalize=True)
+    return _expansion(chain.stack, used, factors, normalize=True)

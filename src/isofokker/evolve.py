@@ -5,7 +5,8 @@ c_k = int phi_k (phi_0^{-1} P) dx; each mode then relaxes with e^{-eps_k t}
 (classical) or E_alpha(-eps_k t^alpha) (fractional).  Mass is conserved
 exactly: int P dx = c_0 because both temporal factors equal 1 at eps = 0.
 The Darboux partner and the deformed process use the same expansion over
-their own bases (``_expansion``), renormalized to unit mass.
+their own bases (``_expansion``), renormalized to unit mass; each basis
+keeps its states as one stack, so a density is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .grid import GridFunction, divide, integrate, simpson_weights
 from .mittag import ml_relaxation
-from .spectral import Spectrum
+from .spectral import Spectrum, StateStack
 
 __all__ = ["TemporalRule", "FpeSolution", "project", "evolve_pdf", "moments", "truncation_residual"]
 
@@ -121,36 +122,33 @@ def project(P0: GridFunction, spectrum: Spectrum) -> np.ndarray:
     return np.array([float(weighted @ spectrum.state(k).values) for k in range(spectrum.kmax + 1)])
 
 
-def _expansion(states, coeffs, factors, normalize: bool) -> GridFunction:
-    """Density phi_0 * sum_k c_k tau_k phi_k over ``states`` (ground state first).
+def _expansion(stack: StateStack, coeffs, factors, normalize: bool) -> GridFunction:
+    """Density phi_0 * sum_k c_k tau_k phi_k over the basis ``stack`` (ground state first).
 
-    Terms with c_k = 0 are skipped, and so are their masks: the result is
-    masked on the union of the ground state's mask and those of the states
-    used.  With ``normalize`` the density is scaled to unit mass.
+    One product of the weights c_k tau_k (arrays) with the first
+    len(coeffs) rows.  The result is masked on the union of the ground
+    state's mask and those of the rows with c_k != 0.  With ``normalize``
+    the density is scaled to unit mass.
     """
-    ground = states[0]
-    acc = np.zeros(ground.grid.n_points)
-    mask = ground.mask
-    for c, tau, f in zip(coeffs, factors, states):
-        if c != 0.0:
-            acc += (c * tau) * f.values
-            if f.mask is not None:
-                mask = f.mask if mask is None else mask | f.mask
-    values = ground.values * acc
+    m = len(coeffs)
+    values = stack.values[0] * ((coeffs * factors) @ stack.values[:m])
+    mask = None
+    if stack.masks is not None:
+        mask = stack.masks[0] | np.any(stack.masks[:m][coeffs != 0.0], axis=0)
     if normalize:
         if mask is not None:
             values = np.where(mask, 0.0, values)  # masked nodes carry no mass
-        mass = float(simpson_weights(ground.grid) @ values)
+        mass = float(simpson_weights(stack.grid) @ values)
         if abs(mass) < 1e-12:
             raise ValueError("expansion carries (near-)zero total mass; cannot normalize")
         values = values / mass
-    return GridFunction(ground.grid, values, mask)
+    return GridFunction(stack.grid, values, mask)
 
 
 def evolve_pdf(sol: FpeSolution, t: float) -> GridFunction:
     """Density at time t: phi_0 sum_k c_k phi_k tau_k(t); no renormalization needed."""
     factors = sol.temporal.factors(sol.spectrum.energies[: len(sol.coeffs)], t)
-    return _expansion(sol.spectrum.states, sol.coeffs, factors, normalize=False)
+    return _expansion(sol.spectrum.stack, sol.coeffs, factors, normalize=False)
 
 
 def moments(P: GridFunction, orders) -> list[float]:

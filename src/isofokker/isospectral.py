@@ -17,13 +17,14 @@ no longer a normalizable ground state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .darboux import DarbouxChain
 from .evolve import TemporalRule, _expansion
 from .grid import GridFunction, cumulative_integral, derivative, divide, log_derivative
-from .spectral import DriftSpec, _unit_state, ground_state_to_drift
+from .spectral import DriftSpec, StateStack, _stack, _unit_state, ground_state_to_drift
 
 __all__ = [
     "IsoParams",
@@ -79,6 +80,11 @@ class IsoDeformation:
     states: tuple[GridFunction, ...]
     energies: np.ndarray
     drift: DriftSpec
+
+    @cached_property
+    def stack(self) -> StateStack:
+        """The deformed states as one stack, built once."""
+        return _stack(self.states)
 
 
 def _check_admissible(lam: float, i_end: float, s: int) -> None:
@@ -202,4 +208,4 @@ def iso_pdf(deformation: IsoDeformation, coeffs, t: float, temporal=None) -> Gri
         )
     rule = TemporalRule.classical() if temporal is None else temporal
     factors = rule.factors(deformation.energies[: len(coeffs)], t)
-    return _expansion(deformation.states, coeffs, factors, normalize=True)
+    return _expansion(deformation.stack, coeffs, factors, normalize=True)

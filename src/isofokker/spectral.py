@@ -11,9 +11,11 @@ ground state as D = 2 (ln|phi_0|)'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .grid import (
     Grid1D,
@@ -69,6 +71,28 @@ class SchrodingerOperator:
     offdiag: np.ndarray
 
 
+class StateStack(NamedTuple):
+    """The states of one basis as read-only rows, ground state first.
+
+    ``values`` is (k, N); ``masks`` is the (k, N) stack of the states' masks,
+    or None when no state carries one.
+    """
+
+    grid: Grid1D
+    values: np.ndarray
+    masks: np.ndarray | None
+
+
+def _stack(states) -> StateStack:
+    values = np.array([f.values for f in states])
+    values.setflags(write=False)
+    masks = None
+    if any(f.mask is not None for f in states):
+        masks = np.array([~f.unmasked() for f in states])
+        masks.setflags(write=False)
+    return StateStack(states[0].grid, values, masks)
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Lowest eigenpairs, energies strictly increasing, states L2-normalized.
@@ -87,6 +111,11 @@ class Spectrum:
 
     def state(self, k: int) -> GridFunction:
         return self.states[k]
+
+    @cached_property
+    def stack(self) -> StateStack:
+        """The states as one (kmax+1, N) stack, built once."""
+        return _stack(self.states)
 
 
 def _l2_norm(grid: Grid1D, values: np.ndarray) -> float:
@@ -144,36 +173,76 @@ def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
 # A computed ground energy this close to zero is the zero mode of a
 # probability-conserving process, off by pure stencil error.
 ZERO_MODE_SNAP = 1e-3
+# Absolute accuracy of the first bisection: enough to isolate each level
+# for inverse iteration, whose Rayleigh quotients then give the energies.
+ISOLATION_TOL = 1e-5
+# Levels closer than this are bisected again to full precision, so that
+# inverse iteration can tell them apart (a tunnelling pair, say).
+CLUSTER_GAP = 1e-3
+
+
+def _bisect(op: SchrodingerOperator, count: int, tol: float):
+    """Lowest ``count`` eigenvalues to absolute accuracy ``tol`` (0: full precision).
+
+    LAPACK stebz with Sturm-sequence bracketing, block-ordered as stein
+    takes them; returns (eigenvalues, iblock, isplit).
+    """
+    m, w, iblock, isplit, info = dstebz(op.diag, op.offdiag, 2, 0.0, 0.0, 1, count, tol, "B")
+    if info != 0 or m != count:
+        raise RuntimeError(f"eigensolver did not converge: LAPACK stebz info {info}")
+    return w[:m], iblock, isplit
+
+
+def _rayleigh(op: SchrodingerOperator, vectors: np.ndarray) -> np.ndarray:
+    """v^T T v for each unit column v of ``vectors``."""
+    tv = op.diag[:, None] * vectors
+    tv[:-1] += op.offdiag[:, None] * vectors[1:]
+    tv[1:] += op.offdiag[:, None] * vectors[:-1]
+    return np.einsum("ik,ik->k", vectors, tv)
+
+
+def _eigenpairs(op: SchrodingerOperator, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest kmax+1 eigenvalues and unit interior eigenvectors, before the zero-mode snap."""
+    levels, iblock, isplit = _bisect(op, kmax + 2, ISOLATION_TOL)
+    if np.min(np.diff(levels)) < CLUSTER_GAP:
+        levels, iblock, isplit = _bisect(op, kmax + 1, 0.0)
+        if np.any(np.diff(levels) <= 0):
+            raise RuntimeError("levels coincide at full precision; resolution too coarse")
+    vectors, info = dstein(op.diag, op.offdiag, levels[: kmax + 1], iblock, isplit)
+    if info != 0:
+        raise RuntimeError(f"eigensolver did not converge: LAPACK stein info {info}")
+    return _rayleigh(op, vectors), vectors
 
 
 def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
     """Lowest kmax+1 eigenpairs of the tridiagonal operator.
 
-    Eigenvalues by bisection with Sturm-sequence bracketing and eigenvectors
-    by inverse iteration (LAPACK stebz/stein via scipy); states are embedded
-    with Dirichlet zeros, Simpson-normalized and sign-fixed.
+    Bisection with Sturm-sequence bracketing (LAPACK stebz) locates the
+    lowest kmax+2 levels to an absolute ISOLATION_TOL, enough to isolate
+    them for inverse iteration.  Only when two of them lie within
+    CLUSTER_GAP of each other are the lowest kmax+1 bisected again to full
+    precision; levels that are still equal raise RuntimeError.  Inverse
+    iteration (LAPACK stein) gives the states, and the energies are their
+    Rayleigh quotients v^T T v.  States are embedded with Dirichlet zeros,
+    Simpson-normalized and sign-fixed.
 
     A ground energy within discretization error of zero is snapped to zero:
     the factorized operator of a conservative process is non-negative with
     the stationary state as exact zero mode, and the second-order stencil
-    otherwise leaks an O(h^2) offset into every temporal factor.
+    otherwise leaks an O(h^2) offset into every temporal factor.  The
+    energies returned, after the snap, must be strictly increasing; levels
+    the grid cannot resolve raise RuntimeError.
     """
     n = op.grid.n_points
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     if not kmax + 1 < n / 4:
         raise ValueError(f"kmax={kmax} too large for {n} nodes (need kmax+1 < n/4)")
-    try:
-        energies, vectors = eigh_tridiagonal(
-            op.diag, op.offdiag, select="i", select_range=(0, kmax)
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    energies, vectors = _eigenpairs(op, kmax)
+    if abs(energies[0]) <= ZERO_MODE_SNAP:
+        energies[0] = 0.0
     if np.any(np.diff(energies) <= 0):
         raise RuntimeError("eigenvalues not strictly increasing; resolution too coarse")
-    if abs(energies[0]) <= ZERO_MODE_SNAP:
-        energies = energies.copy()
-        energies[0] = 0.0
     states = []
     for k in range(kmax + 1):
         full = np.zeros(n)

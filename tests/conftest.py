@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import isofokker.mittag as mittag
 from isofokker import (
@@ -85,6 +86,15 @@ def ml_series_reference(alpha: float, z: float) -> float:
             if abs(term) < tiny:
                 return float(total)
             k += 1
+
+
+def eigenpairs_reference(op, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest kmax+1 eigenpairs of the tridiagonal operator, every level bisected to full precision.
+
+    scipy's eigh_tridiagonal(select='i'): LAPACK stebz to eps * ||T||_1,
+    then stein; unit interior eigenvectors as columns.
+    """
+    return eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, kmax))
 
 
 def wronskian_reference(states) -> np.ndarray:

@@ -74,6 +74,21 @@ class TestDeformCommand:
         assert rc == 1
         assert "need kmax > n" in err
 
+    @pytest.mark.parametrize("lambdas, kmax", [("0.5", "2"), ("0.5,0.5", "3")])
+    def test_check_without_a_carried_level_exits_one(self, capsys, tmp_path, lambdas, kmax):
+        # kmax = n + 1 would compare only the reinstated levels 0..n-1
+        rc, _, err = run_cli(capsys, "deform", "--lambda", lambdas, "--kmax", kmax, "--out", str(tmp_path))
+        assert rc == 1
+        assert "need kmax > n + 1" in err
+
+    def test_least_kmax_compares_first_carried_level(self, capsys, tmp_path):
+        rc, out, _ = run_cli(capsys, "deform", "--lambda", "0.5", "--kmax", "3", "--out", str(tmp_path))
+        assert rc == 0
+        report = json.loads(out)
+        assert len(report["deformed_eigenvalues"]) == 2  # levels 0 and n = 1
+        assert report["deformed_eigenvalues"][1] == pytest.approx(1.0, abs=1e-3)
+        assert report["isospectral"] is True
+
 
 class TestEvolveCommand:
     def test_moments_report(self, capsys, tmp_path):

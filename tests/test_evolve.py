@@ -224,9 +224,19 @@ class TestExpansionKernel:
 
     @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.6)])
     def test_iso_pdf_matches_mode_sum(self, defo_pair, gaussian_coeffs, rule):
+        self._check_iso_pdf(defo_pair, gaussian_coeffs, rule)
+
+    @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.6)])
+    def test_iso_pdf_matches_mode_sum_with_zeroed_modes(self, defo_pair, gaussian_coeffs, rule):
+        coeffs = gaussian_coeffs.copy()
+        coeffs[[1, 4]] = 0.0
+        self._check_iso_pdf(defo_pair, coeffs, rule)
+
+    @staticmethod
+    def _check_iso_pdf(defo_pair, coeffs, rule):
         factors = rule.factors(defo_pair.energies, 0.7)
-        ref, mask = _mode_sum_density(defo_pair.states, gaussian_coeffs, factors)
-        p = iso_pdf(defo_pair, gaussian_coeffs, 0.7, rule)
+        ref, mask = _mode_sum_density(defo_pair.states, coeffs, factors)
+        p = iso_pdf(defo_pair, coeffs, 0.7, rule)
         assert mask.any()
         assert np.array_equal(~p.unmasked(), mask)
         assert np.max(np.abs(p.values - ref)) <= 1e-14
@@ -238,6 +248,16 @@ class TestExpansionKernel:
         both = iso_pdf(defo_pair, [1.0, 0.1], 1.0)
         assert np.array_equal(alone.mask, ground.mask)
         assert np.array_equal(both.mask, ground.mask | first.mask)
+
+    def test_stacks_are_the_bases_built_once(self, ou_chain3, defo_pair):
+        for stack, states in (
+            (ou_chain3.stack, ou_chain3.stage_states[ou_chain3.n_steps]),
+            (defo_pair.stack, defo_pair.states),
+        ):
+            assert np.array_equal(stack.values, [f.values for f in states])
+            assert np.array_equal(stack.masks, [~f.unmasked() for f in states])
+            assert not (stack.values.flags.writeable or stack.masks.flags.writeable)
+        assert ou_chain3.stack is ou_chain3.stack and defo_pair.stack is defo_pair.stack
 
     def test_near_zero_mass_rejected(self, ou_chain3, defo_pair):
         # phi_4 alone is orthogonal to the stage-3 ground state

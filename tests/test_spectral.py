@@ -1,8 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from conftest import eigenpairs_reference
 
+import isofokker.spectral as spectral
 from isofokker.grid import (
     GridFunction,
     cumulative_integral,
@@ -13,7 +17,7 @@ from isofokker.grid import (
     sample,
     sup_diff,
 )
-from isofokker.scenarios import box_scenario, ou_scenario
+from isofokker.scenarios import box_scenario, custom_drift, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
     DriftSpec,
     _unit_state,
@@ -133,6 +137,108 @@ class TestSolveSpectrum:
         op = build_hamiltonian(sample(ou_grid, lambda x: x**2 / 4.0))
         with pytest.raises(ValueError, match="kmax"):
             solve_spectrum(op, ou_grid.n_points // 4)
+
+    def test_ordering_checked_after_zero_mode_snap(self, tmp_path):
+        # D = -0.8 x (x^2 - 9): the tunnelling split (~3e-7) is below the
+        # stencil's O(h^2) ground offset (~ -4.7e-4), so the snapped ground
+        # level 0 lies above level 1
+        x = np.linspace(-12.0, 12.0, 2001)
+        path = tmp_path / "drift.csv"
+        np.savetxt(path, np.column_stack([x, -0.8 * x * (x**2 - 9.0)]), delimiter=",")
+        op = build_hamiltonian(custom_drift(path).W)
+        raw, _ = spectral._eigenpairs(op, 3)
+        assert -1e-3 < raw[0] < raw[1] < 0.0
+        with pytest.raises(RuntimeError, match="resolution too coarse"):
+            solve_spectrum(op, 3)
+
+    @pytest.mark.parametrize("a, b", [(0.1, 3.5), (0.2, 4.0)])
+    def test_inseparable_wells_rejected(self, ou_grid, a, b):
+        op = build_hamiltonian(sample(ou_grid, lambda x: a * (x**2 - b**2) ** 2))
+        with pytest.raises(RuntimeError, match="resolution too coarse"):
+            solve_spectrum(op, 7)
+
+
+def _ou(gamma: float, n: int):
+    return build_hamiltonian(ou_scenario(make_grid(-12.0, 12.0, n), gamma).W)
+
+
+def _double_well(a: float):
+    return build_hamiltonian(sample(make_grid(-12.0, 12.0, 2001), lambda x: a * (x**2 - 9.0) ** 2))
+
+
+REFERENCE_CASES = [
+    *(
+        pytest.param(lambda g=g, n=n: _ou(g, n), 7, id=f"ou-{g}-{n}")
+        for g in (0.5, 1.0, 2.0)
+        for n in (1001, 2001, 4001)
+    ),
+    pytest.param(lambda: build_hamiltonian(box_scenario(make_grid(0.0, 1.0, 2001)).W), 3, id="box"),
+    pytest.param(
+        lambda: build_hamiltonian(schwarzschild_potential(0.08, make_grid(0.1, 3.0, 581))[1].W),
+        8,
+        id="schwarzschild",
+    ),
+    *(
+        pytest.param(lambda a=a: _double_well(a), k, id=f"well-{a}-{k}")
+        for a in (0.05, 0.06, 0.07, 0.08, 0.1)
+        for k in (0, 1, 7)
+    ),
+]
+
+
+class TestAgainstFullBisection:
+    """The solver against every level bisected to full precision (the reference)."""
+
+    @pytest.mark.parametrize("make_op, kmax", REFERENCE_CASES)
+    def test_eigenpairs_match_reference(self, make_op, kmax):
+        op = make_op()
+        ref_e, ref_v = eigenpairs_reference(op, kmax)
+        energies, vectors = spectral._eigenpairs(op, kmax)
+        # 1e-10 on the scale of the spectrum: the box's levels reach 158 on
+        # a stencil with ||T||_1 = 1.6e7, where round-off alone is 3.5e-9
+        assert np.max(np.abs(energies - ref_e)) <= 1e-10 * max(1.0, abs(ref_e[-1]))
+        inside = np.abs(op.grid.x[1:-1]) <= 8.0
+        signs = np.sign(np.sum(vectors * ref_v, axis=0))
+        rel = np.abs(vectors * signs - ref_v)[inside] / np.max(np.abs(ref_v), axis=0)
+        assert np.max(rel) <= 1e-7
+        ground = vectors[:, 0]
+        significant = np.abs(ground) > 1e-12 * np.max(np.abs(ground))
+        assert np.all(np.sign(ground[significant]) == np.sign(ground[significant][0]))
+
+    @pytest.mark.parametrize(
+        "make_op, escalates",
+        [(lambda: _double_well(0.1), True), (lambda: _ou(1.0, 2001), False)],
+        ids=["double-well", "ou"],
+    )
+    def test_full_precision_only_for_close_levels(self, monkeypatch, make_op, escalates):
+        op = make_op()
+        tols = []
+        bisect = spectral._bisect
+
+        def recording(op, count, tol):
+            tols.append(tol)
+            return bisect(op, count, tol)
+
+        monkeypatch.setattr(spectral, "_bisect", recording)
+        solve_spectrum(op, 0)
+        assert tols == ([spectral.ISOLATION_TOL, 0.0] if escalates else [spectral.ISOLATION_TOL])
+
+
+class TestStateStack:
+    def test_rows_are_the_states_built_once(self, ou_spectrum):
+        stack = ou_spectrum.stack
+        assert stack is ou_spectrum.stack
+        assert stack.grid is ou_spectrum.grid and stack.masks is None
+        assert np.array_equal(stack.values, [f.values for f in ou_spectrum.states])
+        assert not stack.values.flags.writeable
+
+    def test_stack_dies_with_its_basis(self):
+        g = make_grid(-12.0, 12.0, 201)
+        spec = solve_spectrum(build_hamiltonian(ou_scenario(g).W), 3)
+        values = weakref.ref(spec.stack.values)
+        del spec
+        gc.collect()
+        assert values() is None
 
 
 class TestUnitState:
