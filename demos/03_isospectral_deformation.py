@@ -1,7 +1,8 @@
 """Reinstating levels: multi-parameter isospectral drifts.
 
-After deleting the lowest n levels, virtual states (I_s + lambda_s)/phi_s
-rebuild them, one parameter per level.  The deformed drift has exactly the
+After deleting the lowest n levels, the Gram matrix
+M(x) = diag(lambda) + int_{c1}^x phi_i phi_j rebuilds them in closed form,
+one parameter per level.  The deformed drift has exactly the
 original eigenvalues but deformed eigenfunctions and a deformed stationary
 density; sending every lambda to infinity switches the deformation off.
 """
@@ -23,7 +24,6 @@ from isofokker import (
     sample,
     solve_spectrum,
     sup_diff,
-    virtual_state,
 )
 from isofokker.isospectral import IsoParams
 from isofokker.oracle import CnConfig, cn_evolve
@@ -33,8 +33,9 @@ drift = ou_scenario(grid)
 spectrum = solve_spectrum(build_hamiltonian(drift.W), kmax=7)
 chain = build_chain(spectrum, 2)
 
-vs = virtual_state(chain, 0, 0.5)
-print(f"virtual state at lambda = 0.5: I_0(c2) = {vs.I.values[-1]:.12f} (normalization)")
+phi0 = spectrum.state(0)
+I0 = cumulative_integral(phi0 * phi0)
+print(f"Gram entry K_00(c2) = {I0.values[-1]:.12f} (normalization)")
 
 print("\ntwo-parameter deformation at lambda = (0.5, 0.5):")
 deformation = reinstate(chain, IsoParams([0.5, 0.5]))
@@ -45,8 +46,6 @@ for k, eps in enumerate(resolved.energies):
 
 # single-parameter closed form: deformed drift is D - 2 phi0^2/(I0 + lambda)
 single = reinstate(chain, IsoParams([0.5]))
-phi0 = spectrum.state(0)
-I0 = cumulative_integral(phi0 * phi0)
 from isofokker import ground_state_to_drift
 
 closed = ground_state_to_drift(phi0).D - 2.0 * phi0 * phi0 * (1.0 / (I0 + 0.5))

@@ -36,14 +36,7 @@ from .darboux import (
     partner_drift,
     partner_pdf,
 )
-from .isospectral import (
-    IsoDeformation,
-    IsoParams,
-    VirtualState,
-    iso_pdf,
-    reinstate,
-    virtual_state,
-)
+from .isospectral import IsoDeformation, IsoParams, iso_pdf, reinstate
 from .evolve import FpeSolution, TemporalRule, evolve_pdf, moments, project, truncation_residual
 from .mittag import mittag_leffler, ml_relaxation
 from .oracle import CnConfig, cn_evolve, gl_residual

@@ -205,10 +205,6 @@ def cmd_deform(cfg) -> int:
         _out_path(cfg, "deformed_drift.csv"),
         {"D": deformation.drift.D, "W": deformation.drift.W, "stationary": stationary},
     )
-    write_csv(
-        _out_path(cfg, "virtual_states.csv"),
-        {f"Phi{s}": v for s, v in enumerate(deformation.dressed_virtuals)},
-    )
     kcheck = spectrum.kmax - 2
     resolved = solve_spectrum(build_hamiltonian(deformation.drift.W), kcheck)
     # the reinstated operator is isospectral to the original shifted to a
@@ -545,7 +541,7 @@ def main(argv=None) -> int:
             cfg["out"] = os.environ.get("ISOFOKKER_OUT", ".")
         cfg["command"] = args.command
         return COMMANDS[args.command].handler(cfg)
-    except (UsageError, ValueError, ArithmeticError) as exc:
+    except (UsageError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

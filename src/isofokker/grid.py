@@ -206,13 +206,16 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     The result carries no mask: all in-package uses integrate functions whose
     masked tails were zeroed and genuinely negligible.
     """
-    v = f.values
-    h = f.grid.h
+    return GridFunction(f.grid, _cumulative_simpson(f.values, f.grid.h))
+
+
+def _cumulative_simpson(v: np.ndarray, h: float) -> np.ndarray:
+    """The running integral of :func:`cumulative_integral` along the last axis of samples ``v``."""
     out = np.zeros_like(v)
-    panels = (h / 3.0) * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-    out[2::2] = np.cumsum(panels)
-    out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * v[0:-2:2] + 8.0 * v[1:-1:2] - v[2::2])
-    return GridFunction(f.grid, out)
+    lo, mid, hi = v[..., 0:-2:2], v[..., 1:-1:2], v[..., 2::2]
+    out[..., 2::2] = np.cumsum((h / 3.0) * (lo + 4.0 * mid + hi), axis=-1)
+    out[..., 1::2] = out[..., 0:-2:2] + (h / 12.0) * (5.0 * lo + 8.0 * mid - hi)
+    return out
 
 
 # 4th-order one-sided stencils for the two boundary bands (divided by 12h).
@@ -249,18 +252,17 @@ def derivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, out, _dilate_mask(f.mask, 2))
 
 
-def divide(num: GridFunction, den: GridFunction, floor: float | None = None) -> GridFunction:
-    """Pointwise num/den, masking nodes where |den| < floor.
+def divide(num: GridFunction, den: GridFunction) -> GridFunction:
+    """Pointwise num/den, masking nodes where |den| < 1e-12 * max|den|.
 
-    Default floor is ``1e-12 * max|den|``, suited to denominators that decay
-    from an O(1) peak; pass an explicit floor for functions of wildly varying
-    scale (e.g. reciprocals of virtual states that grow toward the walls).
+    The floor suits denominators that decay from an O(1) peak, such as
+    eigenstates.  Raises if the denominator vanishes or if every node is
+    below the floor or masked.
     """
     dv = den.values
-    if floor is None:
-        floor = DEFAULT_FLOOR_FRACTION * np.max(np.abs(dv))
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+    floor = DEFAULT_FLOOR_FRACTION * np.max(np.abs(dv))
+    if floor == 0.0:
+        raise ValueError("denominator vanishes on every node")
     bad = np.abs(dv) < floor
     if num.mask is not None:
         bad = bad | num.mask
@@ -272,13 +274,12 @@ def divide(num: GridFunction, den: GridFunction, floor: float | None = None) -> 
     return GridFunction(num.grid, out, bad)
 
 
-def log_derivative(f: GridFunction, floor: float | None = None) -> GridFunction:
-    """(ln|f|)' = f'/f with nodes near zeros of f masked out.
+def log_derivative(f: GridFunction) -> GridFunction:
+    """(ln|f|)' = f'/f with nodes where |f| < 1e-12 * max|f| masked out.
 
-    ``floor`` is an absolute threshold on |f|; the default is
-    ``1e-12 * max|f|``.  Raises if |f| sits below the floor everywhere.
+    Raises if |f| sits below that floor everywhere.
     """
-    return divide(derivative(f), f, floor)
+    return divide(derivative(f), f)
 
 
 def sup_norm(f: GridFunction, window: tuple[float, float] | None = None) -> float:

@@ -1,17 +1,24 @@
 """Multi-parameter isospectral deformation of a drift.
 
-Deleting the lowest n levels with a Darboux-Crum chain and then
-reinstating them through virtual states Phi_s = (I_s + lambda_s) / phi_s
-yields a family of drifts, one per admissible parameter vector, whose
-operators share the original spectrum exactly while every eigenstate is
-deformed.  The reinstating (reverse-Darboux) operators
-B_s = d/dx - (ln|Phi_s^{-1}|)' are applied as chained first-order
-operators so per-level error stays controlled and testable.
+Deleting the lowest n levels with a Darboux-Crum chain and reinstating
+them with parameters lambda_0..lambda_{n-1} yields a family of drifts, one
+per admissible parameter vector, whose operators share the original
+spectrum exactly while every eigenstate is deformed.  The reverse
+Darboux-Crum product has a closed form without derivatives (Abraham &
+Moses, PRA 22 (1980) 1333; Pursey, PRD 33 (1986) 1048).  With the lowest
+n original states phi_0..phi_{n-1} and the Gram matrix
 
-Admissibility: with unit-normalized states each running integral
-satisfies I_s(c2) = 1, so lambda_s must avoid the closed interval
-[-1, 0]; otherwise Phi_s picks up an interior zero and its reciprocal is
-no longer a normalizable ground state.
+    M(x) = Lambda + K(x),  Lambda = diag(lambda),  K_ij(x) = int_{c1}^x phi_i phi_j,
+
+the reinstated states are (phi^_0..phi^_{n-1}) = M^{-1} (phi_0..phi_{n-1}),
+every higher one is phi^_k = phi_k - sum_j phi^_j int_{c1}^x phi_j phi_k,
+and the deformed potential is V - 2 (ln det M)''.
+
+Admissibility: with unit-normalized states K(c2) = I, so each lambda_s
+must avoid the closed interval [-1, 0].  Then 0 <= K(x) <= I gives
+Lambda <= M(x) <= Lambda + I, so M(x) has as many negative eigenvalues as
+Lambda at every x (Weyl's inequalities): det M keeps one sign and every
+reinstated state stays finite and normalizable.
 """
 
 from __future__ import annotations
@@ -23,14 +30,12 @@ import numpy as np
 
 from .darboux import DarbouxChain
 from .evolve import TemporalRule, _expansion
-from .grid import GridFunction, cumulative_integral, derivative, divide, log_derivative
+from .grid import GridFunction, _cumulative_simpson
 from .spectral import DriftSpec, StateStack, _stack, _unit_state, ground_state_to_drift
 
 __all__ = [
     "IsoParams",
-    "VirtualState",
     "IsoDeformation",
-    "virtual_state",
     "reinstate",
     "iso_pdf",
 ]
@@ -54,20 +59,9 @@ class IsoParams:
 
 
 @dataclass(frozen=True, eq=False)
-class VirtualState:
-    """Non-normalizable zero mode (I_s + lambda)/phi_s used to reinstate level s."""
-
-    s: int
-    lam: float
-    Phi: GridFunction
-    I: GridFunction
-
-
-@dataclass(frozen=True, eq=False)
 class IsoDeformation:
-    """Dressed virtual states, reinstating kernels, and the deformed eigenbasis.
+    """The deformed eigenbasis and drift.
 
-    ``b_kernels[s]`` holds (ln|Phi_s^{-1}|)' for the fully dressed Phi_s;
     ``states[k]`` is the deformed eigenstate at the original energy
     ``energies[k]``; ``drift`` is the deformed process's drift
     2 (ln|phi^_0|)', for one parameter D - 2 d/dx ln(I_0 + lambda_0).
@@ -75,8 +69,6 @@ class IsoDeformation:
 
     params: IsoParams
     chain: DarbouxChain
-    dressed_virtuals: tuple[GridFunction, ...]
-    b_kernels: tuple[GridFunction, ...]
     states: tuple[GridFunction, ...]
     energies: np.ndarray
     drift: DriftSpec
@@ -96,99 +88,39 @@ def _check_admissible(lam: float, i_end: float, s: int) -> None:
         )
 
 
-def _virtual_floor(f: GridFunction) -> float:
-    """Division floor for virtual states, whose scale varies over many decades.
-
-    Relative to the smallest reliable magnitude rather than the maximum, so
-    the O(1) interior of a function that blows up at the walls stays usable.
-    """
-    vals = np.abs(f.values[f.unmasked()])
-    return 1e-12 * float(np.min(vals[vals > 0.0]))
-
-
-def _require_node_free(f: GridFunction, what: str) -> None:
-    keep = f.unmasked()
-    v = f.values[keep]
-    significant = np.abs(v) > 1e-9 * float(np.median(np.abs(v)))
-    signs = np.sign(v[significant])
-    if np.any(signs[1:] != signs[:-1]):
-        raise ValueError(
-            f"{what} develops an interior zero; the parameter combination is inadmissible"
-        )
-
-
-def virtual_state(chain: DarbouxChain, s: int, lam: float) -> VirtualState:
-    """Virtual state Phi_s(lambda) = (I_s + lambda)/phi_s at stage s.
-
-    I_s is the running integral of the squared stage-s ground state, so
-    I_s(c2) = 1 for the normalized stages kept in the chain.
-    """
-    if not 0 <= s <= chain.n_steps:
-        raise IndexError(f"stage {s} not available in a {chain.n_steps}-step chain")
-    ground = chain.stage_states[s][0]
-    I = cumulative_integral(ground * ground)
-    _check_admissible(lam, float(I.values[-1]), s)
-    Phi = divide(I + lam, ground)
-    return VirtualState(s=s, lam=lam, Phi=Phi, I=I)
-
-
-def _first_order(f: GridFunction, kernel: GridFunction, adjoint: bool) -> GridFunction:
-    """Apply d/dx - kernel (or its formal adjoint -d/dx - kernel) to f."""
-    df = derivative(f)
-    return (-df if adjoint else df) - kernel * f
-
-
 def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
-    """Reinstate the n deleted levels through dressed virtual states.
+    """Reinstate the n deleted levels of ``chain`` with parameters lambda_0..lambda_{n-1}.
 
-    Works from the deepest level downward: each dressed
-    Phi_s(lambda_s..lambda_{n-1}) is pushed up with the chain's deletion
-    operators and back down with the already-built reinstating adjoints,
-    defining the kernel of B_s.  The deformed basis follows as
-    phi^_0 = Phi_0^{-1}, phi^_s = B_0^+..B_{s-1}^+ Phi_s^{-1} and
-    phi^_k = B_0^+..B_{n-1}^+ phi_k^{(n)} for k >= n, each renormalized
-    and sign-fixed.
+    Forms the running integrals G_jk(x) = int_{c1}^x phi_j phi_k of the
+    lowest n base states against every base state, solves
+    M(x) y(x) = (phi_0..phi_{n-1})(x) at all nodes in one batched n x n
+    solve (M = Lambda + G_{:, :n}), and takes phi^_j = y_j for j < n and
+    phi^_k = phi_k - sum_j y_j G_jk for k >= n, each renormalized and
+    sign-fixed.  A parameter in the excluded interval raises ValueError, and
+    so does a det M(x) that changes sign on the grid, which admissible
+    parameters cannot produce.
     """
     n = len(params)
     if n > chain.n_steps:
         raise ValueError(f"{n} parameters but chain has only {chain.n_steps} steps")
-    # deletion kernels (ln phi_s^{(s)})' for pushing virtual states up
-    a_kernels = [log_derivative(chain.stage_states[s][0]) for s in range(n)]
-
-    dressed: list[GridFunction | None] = [None] * n
-    b_kernels: list[GridFunction | None] = [None] * n
-    for s in range(n - 1, -1, -1):
-        g = virtual_state(chain, s, params.lambdas[s]).Phi
-        for j in range(s + 1, n):
-            g = _first_order(g, a_kernels[j], adjoint=False)
-        for j in range(n - 1, s, -1):
-            g = _first_order(g, b_kernels[j], adjoint=True)
-        _require_node_free(g, f"dressed virtual state at level {s}")
-        dressed[s] = g
-        b_kernels[s] = -log_derivative(g, floor=_virtual_floor(g))
-
-    ones = GridFunction(chain.base.grid, np.ones(chain.base.grid.n_points))
-    states: list[GridFunction] = []
-    for s in range(n):
-        f = divide(ones, dressed[s], floor=_virtual_floor(dressed[s]))
-        for j in range(s - 1, -1, -1):
-            f = _first_order(f, b_kernels[j], adjoint=True)
-        states.append(_unit_state(f.grid, f.values, f.mask))
-    for k in range(n, chain.kmax + 1):
-        f = chain.state(n, k)
-        for j in range(n - 1, -1, -1):
-            f = _first_order(f, b_kernels[j], adjoint=True)
-        states.append(_unit_state(f.grid, f.values, f.mask))
-
-    drift = ground_state_to_drift(states[0])
+    base = chain.base
+    phi = base.stack.values
+    gram = _cumulative_simpson(phi[:n, None] * phi, base.grid.h)  # (n, kmax+1, nodes)
+    for s, lam in enumerate(params.lambdas):
+        _check_admissible(lam, float(gram[s, s, -1]), s)
+    M = np.moveaxis(gram[:, :n], -1, 0) + np.diag(params.lambdas)  # (nodes, n, n)
+    det = np.linalg.det(M)
+    if not (np.all(det > 0.0) or np.all(det < 0.0)):
+        raise ValueError("det M(x) changes sign on the grid; the parameter combination is inadmissible")
+    low = np.linalg.solve(M, phi[:n].T[..., None])[..., 0].T
+    high = phi[n:] - np.einsum("jx,jkx->kx", low, gram[:, n:])
+    states = tuple(_unit_state(base.grid, v) for v in (*low, *high))
     return IsoDeformation(
         params=params,
         chain=chain,
-        dressed_virtuals=tuple(dressed),
-        b_kernels=tuple(b_kernels),
-        states=tuple(states),
-        energies=chain.base.energies.copy(),
-        drift=drift,
+        states=states,
+        energies=base.energies.copy(),
+        drift=ground_state_to_drift(states[0]),
     )
 
 

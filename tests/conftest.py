@@ -15,7 +15,7 @@ from isofokker import (
     sample,
     solve_spectrum,
 )
-from isofokker.grid import GridFunction, derivative
+from isofokker.grid import GridFunction, cumulative_integral, derivative
 from isofokker.spectral import normalized, sign_fixed
 
 
@@ -115,6 +115,71 @@ def wronskian_reference(states) -> np.ndarray:
             g = derivative(g)
             mat[:, j, i] = g.values
     return np.linalg.det(mat)
+
+
+def _floored_ratio(num, den, floor: float):
+    """num/den, masked where |den| < floor or either input is masked."""
+    bad = (np.abs(den.values) < floor) | ~num.unmasked() | ~den.unmasked()
+    vals = np.where(bad, 0.0, num.values / np.where(bad, 1.0, den.values))
+    return GridFunction(num.grid, vals, bad)
+
+
+def _peak_floor(f) -> float:
+    """Division floor relative to the peak of f, for states decaying from an O(1) peak."""
+    return 1e-12 * float(np.max(np.abs(f.values)))
+
+
+def _wide_floor(f) -> float:
+    """Division floor relative to the smallest reliable magnitude of f, for functions spanning decades."""
+    vals = np.abs(f.values[f.unmasked()])
+    return 1e-12 * float(np.min(vals[vals > 0.0]))
+
+
+def _first_order(f, kernel, adjoint: bool):
+    """Apply d/dx - kernel (or its formal adjoint -d/dx - kernel) to f."""
+    df = derivative(f)
+    return (-df if adjoint else df) - kernel * f
+
+
+def reinstate_reference(chain, lambdas) -> list:
+    """Deformed basis by chained reverse-Darboux operators, deepest level first.
+
+    Each virtual state Phi_s = (I_s + lambda_s)/phi_s^{(s)} is pushed up
+    with the chain's deletion operators A_j = d/dx - (ln phi_j^{(j)})' and
+    back down with the reinstating adjoints already built; its log
+    derivative defines B_s = d/dx - (ln|Phi_s^{-1}|)'.  Then
+    phi^_s = B_0^+..B_{s-1}^+ Phi_s^{-1} for s < n and
+    phi^_k = B_0^+..B_{n-1}^+ phi_k^{(n)} for k >= n, each unit-normalized
+    and sign-fixed, masked wherever a division could not be trusted.
+    Independent of the Gram-matrix route of ``reinstate`` on purpose.
+    """
+    n = len(lambdas)
+    grounds = [chain.stage_states[s][0] for s in range(n)]
+    a_kernels = [_floored_ratio(derivative(f), f, _peak_floor(f)) for f in grounds]
+    dressed = [None] * n
+    b_kernels = [None] * n
+    for s in range(n - 1, -1, -1):
+        ground = grounds[s]
+        g = _floored_ratio(cumulative_integral(ground * ground) + lambdas[s], ground, _peak_floor(ground))
+        for j in range(s + 1, n):
+            g = _first_order(g, a_kernels[j], adjoint=False)
+        for j in range(n - 1, s, -1):
+            g = _first_order(g, b_kernels[j], adjoint=True)
+        dressed[s] = g
+        b_kernels[s] = -_floored_ratio(derivative(g), g, _wide_floor(g))
+    ones = GridFunction(chain.base.grid, np.ones(chain.base.grid.n_points))
+    states = []
+    for s in range(n):
+        f = _floored_ratio(ones, dressed[s], _wide_floor(dressed[s]))
+        for j in range(s - 1, -1, -1):
+            f = _first_order(f, b_kernels[j], adjoint=True)
+        states.append(sign_fixed(normalized(f)))
+    for k in range(n, chain.kmax + 1):
+        f = chain.state(n, k)
+        for j in range(n - 1, -1, -1):
+            f = _first_order(f, b_kernels[j], adjoint=True)
+        states.append(sign_fixed(normalized(f)))
+    return states
 
 
 def crum_reference(base, n: int, k: int):

@@ -45,6 +45,18 @@ class TestSpectrumCommand:
         assert rc == 1
         assert "unknown scenario" in err
 
+    def test_unresolved_levels_exit_one(self, capsys, tmp_path):
+        # the symmetric double well D = -0.8 x (x^2 - 9) has tunnelling pairs
+        # that 2001 nodes cannot split: the eigensolver raises RuntimeError
+        drift = tmp_path / "drift.csv"
+        xs = np.linspace(-12.0, 12.0, 2001)
+        np.savetxt(drift, np.column_stack([xs, -0.8 * xs * (xs**2 - 9.0)]), delimiter=",")
+        rc, _, err = run_cli(
+            capsys, "spectrum", "--scenario", f"csv:{drift}", "--kmax", "3", "--out", str(tmp_path)
+        )
+        assert rc == 1
+        assert err.startswith("error:") and "resolution too coarse" in err
+
 
 class TestDeformCommand:
     def test_isospectrality_report(self, capsys, tmp_path):
@@ -56,7 +68,6 @@ class TestDeformCommand:
         assert report["max_abs_eig_diff"] <= 5e-3
         assert report["isospectral"] is True
         assert (tmp_path / "deformed_drift.csv").exists()
-        assert (tmp_path / "virtual_states.csv").exists()
 
     def test_inadmissible_lambda_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "deform", "--lambda", "-0.5", "--out", str(tmp_path))
@@ -300,7 +311,7 @@ class TestConfigHandling:
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         args = ("deform", "--lambda", "0.7", "--kmax", "4", "--out", str(tmp_path))
-        names = ("deform.json", "deformed_drift.csv", "virtual_states.csv")
+        names = ("deform.json", "deformed_drift.csv")
         assert run_cli(capsys, *args)[0] == 0
         first = {n: (tmp_path / n).read_bytes() for n in names}
         assert run_cli(capsys, *args)[0] == 0

@@ -6,16 +6,17 @@ import pytest
 from isofokker.darboux import build_chain, partner_pdf
 from isofokker.evolve import (
     FpeSolution,
+    _expansion,
     TemporalRule,
     evolve_pdf,
     moments,
     project,
     truncation_residual,
 )
-from isofokker.grid import integrate, make_grid, sample, simpson_weights, sup_diff
+from isofokker.grid import GridFunction, integrate, make_grid, sample, simpson_weights, sup_diff
 from isofokker.isospectral import IsoParams, iso_pdf, reinstate
 from isofokker.scenarios import ou_transition
-from isofokker.spectral import build_hamiltonian, solve_spectrum
+from isofokker.spectral import _stack, build_hamiltonian, solve_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,7 @@ class TestEvolvePdf:
 
 @pytest.fixture(scope="module")
 def defo_pair(ou_spectrum):
-    """Two-parameter deformation at lambda = (0.5, 0.5); its states carry masks."""
+    """Two-parameter deformation at lambda = (0.5, 0.5); its states carry no masks."""
     return reinstate(build_chain(ou_spectrum, 2), IsoParams([0.5, 0.5]))
 
 
@@ -237,26 +238,27 @@ class TestExpansionKernel:
         factors = rule.factors(defo_pair.energies, 0.7)
         ref, mask = _mode_sum_density(defo_pair.states, coeffs, factors)
         p = iso_pdf(defo_pair, coeffs, 0.7, rule)
-        assert mask.any()
         assert np.array_equal(~p.unmasked(), mask)
         assert np.max(np.abs(p.values - ref)) <= 1e-14
 
-    def test_zero_coefficient_leaves_its_mask_out(self, defo_pair):
-        ground, first = defo_pair.states[0], defo_pair.states[1]
+    def test_zero_coefficient_leaves_its_mask_out(self, ou_chain3):
+        # the partner states share one mask, so widen the first excited one's
+        ground, first = ou_chain3.stage_states[ou_chain3.n_steps][:2]
+        first = GridFunction(first.grid, first.values, ~first.unmasked() | (np.abs(first.x) > 8.0))
         assert np.any(first.mask & ~ground.mask)
-        alone = iso_pdf(defo_pair, [1.0, 0.0], 1.0)
-        both = iso_pdf(defo_pair, [1.0, 0.1], 1.0)
+        stack = _stack((ground, first))
+        alone = _expansion(stack, np.array([1.0, 0.0]), np.ones(2), normalize=True)
+        both = _expansion(stack, np.array([1.0, 0.1]), np.ones(2), normalize=True)
         assert np.array_equal(alone.mask, ground.mask)
         assert np.array_equal(both.mask, ground.mask | first.mask)
 
     def test_stacks_are_the_bases_built_once(self, ou_chain3, defo_pair):
-        for stack, states in (
-            (ou_chain3.stack, ou_chain3.stage_states[ou_chain3.n_steps]),
-            (defo_pair.stack, defo_pair.states),
-        ):
-            assert np.array_equal(stack.values, [f.values for f in states])
-            assert np.array_equal(stack.masks, [~f.unmasked() for f in states])
-            assert not (stack.values.flags.writeable or stack.masks.flags.writeable)
+        stack, states = ou_chain3.stack, ou_chain3.stage_states[ou_chain3.n_steps]
+        assert np.array_equal(stack.values, [f.values for f in states])
+        assert np.array_equal(stack.masks, [~f.unmasked() for f in states])
+        assert not (stack.values.flags.writeable or stack.masks.flags.writeable)
+        assert np.array_equal(defo_pair.stack.values, [f.values for f in defo_pair.states])
+        assert defo_pair.stack.masks is None and not defo_pair.stack.values.flags.writeable
         assert ou_chain3.stack is ou_chain3.stack and defo_pair.stack is defo_pair.stack
 
     def test_near_zero_mass_rejected(self, ou_chain3, defo_pair):

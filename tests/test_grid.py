@@ -215,15 +215,15 @@ class TestLogDerivative:
         assert np.max(np.abs(got.values[keep] - exact)) < 1e-6
 
     def test_everywhere_below_floor_rejected(self):
+        # the floor is relative to max|f|, so only a vanishing f is below it everywhere
         g = make_grid(0.0, 1.0, 11)
-        f = sample(g, lambda x: np.ones_like(x))
         with pytest.raises(ValueError):
-            log_derivative(f, floor=10.0)
+            log_derivative(sample(g, lambda x: np.zeros_like(x)))
 
     def test_floor_must_be_positive(self):
         g = make_grid(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            log_derivative(sample(g, lambda x: np.exp(x)), floor=-1.0)
+        with pytest.raises(ValueError, match="vanishes"):
+            divide(sample(g, np.exp), sample(g, lambda x: np.zeros_like(x)))
 
 
 class TestGridFunction:
@@ -259,9 +259,11 @@ class TestGridFunction:
         g = make_grid(-1.0, 1.0, 201)
         num = sample(g, lambda x: np.ones_like(x))
         den = sample(g, lambda x: x)
-        out = divide(num, den, floor=0.1)
+        out = divide(num, den)
         assert out.mask is not None
-        assert np.all(out.mask == (np.abs(g.x) < 0.1))
+        assert np.all(out.mask == (np.abs(g.x) < 1e-12))
+        keep = out.unmasked()
+        assert np.array_equal(out.values[keep], 1.0 / g.x[keep])
 
     def test_sign_changes(self):
         g = make_grid(-1.0, 1.0, 201)

@@ -1,26 +1,25 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
 from isofokker.darboux import build_chain
 from isofokker.evolve import TemporalRule, project
-from isofokker.grid import (
-    cumulative_integral,
-    derivative,
-    integrate,
-    make_grid,
-    sample,
-    sup_diff,
-    sup_norm,
-)
-from isofokker.isospectral import (
-    IsoParams,
-    iso_pdf,
-    reinstate,
-    virtual_state,
-)
+from isofokker.grid import cumulative_integral, integrate, make_grid, sample, sup_diff
+from isofokker import isospectral
+from isofokker.isospectral import IsoParams, iso_pdf, reinstate
 from isofokker.oracle import CnConfig, cn_evolve
 from isofokker.scenarios import ou_scenario
-from isofokker.spectral import build_hamiltonian, normalized, sign_fixed, solve_spectrum
+from isofokker.spectral import (
+    build_hamiltonian,
+    ground_state_to_drift,
+    normalized,
+    sign_fixed,
+    solve_spectrum,
+)
+
+from conftest import reinstate_reference
 
 
 @pytest.fixture(scope="module")
@@ -41,34 +40,38 @@ def defo_pair(ou_chain2):
 
 
 class TestVirtualState:
-    def test_running_integral_reaches_one(self, ou_chain2):
-        vs = virtual_state(ou_chain2, 0, 0.5)
-        assert vs.I.values[-1] == pytest.approx(1.0, abs=1e-9)
+    """For one parameter the reinstated ground state is the reciprocal virtual state phi0/(I_0 + lambda)."""
 
-    def test_symmetry_at_origin(self, ou_chain2, ou_spectrum, ou_grid):
-        # I0(0) = 1/2 for the even stationary density, so Phi0(0) = 1/phi0(0)
-        vs = virtual_state(ou_chain2, 0, 0.5)
+    def test_running_integral_reaches_one(self, ou_spectrum):
+        # K_00(c2), against which admissibility is checked
+        phi0 = ou_spectrum.state(0)
+        assert cumulative_integral(phi0 * phi0).values[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_symmetry_at_origin(self, defo_half, ou_spectrum, ou_grid):
+        # I0(0) = 1/2 for the even stationary density, so at lambda = 1/2
+        # the unnormalized phi0/(I0 + lambda) equals phi0 at the origin
+        phi0 = ou_spectrum.state(0)
+        I0 = cumulative_integral(phi0 * phi0)
         mid = ou_grid.n_points // 2
-        assert vs.I.values[mid] == pytest.approx(0.5, abs=1e-10)
-        assert vs.Phi.values[mid] * ou_spectrum.state(0).values[mid] == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert I0.values[mid] == pytest.approx(0.5, abs=1e-10)
+        norm = np.sqrt(integrate(phi0 * phi0 * (1.0 / ((I0 + 0.5) * (I0 + 0.5)))))
+        assert defo_half.states[0].values[mid] * norm == pytest.approx(phi0.values[mid], abs=1e-9)
 
     def test_large_lambda_limit(self, ou_chain2, ou_spectrum):
-        # Phi0 -> lambda/phi0, so its reciprocal is the undeformed state
-        vs = virtual_state(ou_chain2, 0, 1e6)
-        recip = sign_fixed(normalized(1.0 / vs.Phi))
-        assert sup_diff(recip, ou_spectrum.state(0)) < 2e-6
+        # phi0/(I0 + lambda) -> phi0/lambda, so the reinstated ground state is the undeformed one
+        defo = reinstate(ou_chain2, IsoParams([1e6]))
+        assert sup_diff(defo.states[0], ou_spectrum.state(0)) < 2e-6
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, -0.5, -1e-9])
     def test_excluded_interval_rejected(self, ou_chain2, lam):
         with pytest.raises(ValueError, match="excluded interval"):
-            virtual_state(ou_chain2, 0, lam)
+            reinstate(ou_chain2, IsoParams([lam]))
 
     @pytest.mark.parametrize("lam", [0.5, 1e6, -1.0001, -2.0])
     def test_admissible_values_accepted(self, ou_chain2, lam):
-        vs = virtual_state(ou_chain2, 0, lam)
-        assert np.all(np.isfinite(vs.Phi.values))
+        defo = reinstate(ou_chain2, IsoParams([lam]))
+        assert np.all(np.isfinite(defo.states[0].values))
+        assert np.all(np.isfinite(defo.drift.D.values))
 
 
 class TestReinstate:
@@ -104,12 +107,6 @@ class TestReinstate:
         )
         assert worst <= 1e-4
 
-    def test_reinstating_kernel_annihilates_ground(self, defo_pair):
-        b0 = defo_pair.b_kernels[0]
-        h0 = defo_pair.states[0]
-        out = derivative(h0) - b0 * h0
-        assert sup_norm(out) <= 1e-5 * sup_norm(h0)
-
     def test_too_many_parameters_rejected(self, ou_chain2):
         with pytest.raises(ValueError, match="parameters"):
             reinstate(ou_chain2, IsoParams([0.5, 0.5, 0.5]))
@@ -119,11 +116,66 @@ class TestReinstate:
             reinstate(ou_chain2, IsoParams([0.5, -0.25]))
 
 
+class TestGramRoute:
+    """The closed form against the chained reverse-Darboux operators it replaces."""
+
+    @pytest.mark.parametrize(
+        "lambdas", [(0.5,), (-1.3,), (1e3,), (0.5, 0.5), (0.8, 1.5), (-1.0001, 0.001), (-2.0, 0.3)]
+    )
+    def test_states_match_chained_route(self, ou_chain2, lambdas):
+        defo = reinstate(ou_chain2, IsoParams(lambdas))
+        ref = reinstate_reference(ou_chain2, lambdas)
+        assert len(ref) == len(defo.states)
+        for chained, gram in zip(ref, defo.states):
+            assert 1.0 - abs(integrate(chained * gram)) <= 1e-7
+
+    @pytest.mark.parametrize("lam", [0.5, -1.3, 1e3])
+    def test_single_parameter_drift_matches_chained_route(self, ou_chain2, lam):
+        defo = reinstate(ou_chain2, IsoParams([lam]))
+        ref = ground_state_to_drift(reinstate_reference(ou_chain2, [lam])[0])
+        assert sup_diff(defo.drift.D, ref.D, window=(-8, 8)) <= 1e-12
+
+    def test_sign_change_of_det_rejected(self, ou_chain2, monkeypatch):
+        # past the input check, a parameter inside [-1, 0] makes M(x) singular mid-grid
+        monkeypatch.setattr(isospectral, "_check_admissible", lambda lam, i_end, s: None)
+        with pytest.raises(ValueError, match="det M"):
+            reinstate(ou_chain2, IsoParams([0.5, -0.5]))
+
+
+def _seeded_lambdas(rng: random.Random, n: int) -> list[float]:
+    """Admissible parameters of either sign, offset from [-1, 0] log-uniformly in [0.02, 20]."""
+    offsets = [10 ** rng.uniform(math.log10(0.02), math.log10(20.0)) for _ in range(n)]
+    return [d if rng.random() < 0.5 else -1.0 - d for d in offsets]
+
+
+_NEAR_BOUNDARY = {2: (-1.0001, 0.001), 3: (0.001, -1.0005, 0.3), 4: (-1.0002, 0.0008, 5.0, -3.0)}
+
+
+@pytest.fixture(scope="module")
+def fine_ou():
+    g = make_grid(-12.0, 12.0, 4001)
+    return solve_spectrum(build_hamiltonian(ou_scenario(g).W), 7)
+
+
+class TestFineGridResolve:
+    """Deep reinstatement under grid refinement: re-solved spectra within the h^2-scaled bound."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_resolved_spectrum_at_4001_nodes(self, fine_ou, n):
+        rng = random.Random(f"fine-resolve-{n}")
+        vectors = [_seeded_lambdas(rng, n) for _ in range(3)] + [_NEAR_BOUNDARY[n]]
+        assert any(min(v) < -1.0 and max(v) > 0.0 for v in vectors)  # mixed signs among them
+        chain = build_chain(fine_ou, n)
+        bound = 5e-3 * (2000 / 4000) ** 2  # 5e-3 at 2001 nodes, scaled by (h / h_2001)^2
+        for lambdas in vectors:
+            defo = reinstate(chain, IsoParams(lambdas))
+            resolved = solve_spectrum(build_hamiltonian(defo.drift.W), 5)
+            assert np.max(np.abs(resolved.energies - fine_ou.energies[:6])) <= bound, lambdas
+
+
 class TestDeformedDrift:
     def test_closed_form_single_parameter(self, defo_half, ou_spectrum):
         # D^ = D - 2 phi0^2 / (I0 + lambda), I0 by quadrature oracle
-        from isofokker.spectral import ground_state_to_drift
-
         phi0 = ou_spectrum.state(0)
         I0 = cumulative_integral(phi0 * phi0)
         base = ground_state_to_drift(phi0)
