@@ -34,7 +34,7 @@ spectrum = solve_spectrum(build_hamiltonian(drift.W), kmax=7)
 chain = build_chain(spectrum, 3)
 print("stage energies after deleting 1, 2, 3 levels:")
 for s in (1, 2, 3):
-    print(f"  stage {s}: {np.round(chain.stage_energies[s][:5], 6)}")
+    print(f"  stage {s}: {np.round(chain.stage_states[s].energies[:5], 6)}")
 
 print("\nWronskian route vs iterated first-order steps:")
 for n in (1, 2, 3):

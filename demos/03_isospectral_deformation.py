@@ -64,6 +64,6 @@ p0 = iso_pdf(single, coeffs, 0.0)
 p1 = iso_pdf(single, coeffs, 1.0)
 cn = cn_evolve(single.drift, p0, CnConfig(dt=1e-3, t_end=1.0))
 print(f"\ndeformed density at t=1, expansion vs Crank-Nicolson: {sup_diff(p1, cn):.2e}")
-stationary = single.states[0] * single.states[0]
+stationary = single.state(0) * single.state(0)
 print(f"late-time limit is the deformed stationary density: "
       f"{sup_diff(iso_pdf(single, coeffs, 30.0), stationary / integrate(stationary)):.2e}")

@@ -21,6 +21,7 @@ from .grid import (
     sup_norm,
 )
 from .spectral import (
+    Basis,
     DriftSpec,
     SchrodingerOperator,
     Spectrum,

@@ -189,7 +189,7 @@ def cmd_darboux(cfg) -> int:
         _out_path(cfg, "darboux_states.csv"),
         {f"phi{k}_stage{steps}": chain.state(steps, k) for k in range(steps, spectrum.kmax + 1)},
     )
-    _emit(cfg, stage_energies={str(s): list(chain.stage_energies[s]) for s in range(steps + 1)})
+    _emit(cfg, stage_energies={str(s): list(chain.stage_states[s].energies) for s in range(steps + 1)})
     return 0
 
 
@@ -200,7 +200,8 @@ def cmd_deform(cfg) -> int:
     # the check below compares levels 0..kmax-2, which with kmax >= n + 2
     # include level n, the first one carried through the chain
     deformation = _reinstated(spectrum, cfg["lambdas"], 2)
-    stationary = deformation.states[0] * deformation.states[0]
+    ground = deformation.state(0)
+    stationary = ground * ground
     write_csv(
         _out_path(cfg, "deformed_drift.csv"),
         {"D": deformation.drift.D, "W": deformation.drift.W, "stationary": stationary},

@@ -12,13 +12,12 @@ both routes are implemented so they can cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .evolve import TemporalRule, _expansion
-from .grid import GridFunction, derivative, interior_hole_fraction, log_derivative
-from .spectral import DriftSpec, Spectrum, StateStack, _stack, _unit_state, ground_state_to_drift
+from .grid import GridFunction, _stencil, interior_hole_fraction, log_derivative
+from .spectral import Basis, DriftSpec, Spectrum, _unit_rows, ground_state_to_drift
 
 __all__ = [
     "DarbouxChain",
@@ -37,77 +36,52 @@ MAX_MASKED_FRACTION = 0.05
 
 @dataclass(frozen=True, eq=False)
 class DarbouxChain:
-    """Stages of deleted-level states.
+    """Stages of deleted-level bases.
 
-    ``stage_states[s][j]`` holds phi_{s+j} at stage s (stage 0 is the base
-    spectrum); ``stage_energies[s]`` holds the shifted levels eps_k - eps_s
-    for k >= s.
+    ``stage_states[s]`` is the basis at stage s (stage 0 is the base
+    spectrum): its row j is phi_{s+j} and its energies are the shifted
+    levels eps_k - eps_s for k >= s.
     """
 
     base: Spectrum
     n_steps: int
-    stage_states: tuple[tuple[GridFunction, ...], ...]
-    stage_energies: tuple[np.ndarray, ...]
+    stage_states: tuple[Basis, ...]
 
     def state(self, s: int, k: int) -> GridFunction:
         """phi_k at stage s (k is the absolute level index, k >= s)."""
         if k < s:
             raise IndexError(f"level {k} was deleted before stage {s}")
-        return self.stage_states[s][k - s]
+        return self.stage_states[s].state(k - s)
 
     @property
     def kmax(self) -> int:
         return self.base.kmax
-
-    @cached_property
-    def stack(self) -> StateStack:
-        """The last stage's states, the partner basis, as one stack built once."""
-        return _stack(self.stage_states[self.n_steps])
-
-
-def _check_contamination(f: GridFunction) -> None:
-    if f.mask is None:
-        return
-    if interior_hole_fraction(f.mask) > MAX_MASKED_FRACTION:
-        raise ValueError(
-            "masked-node contamination exceeds 5% of the interior; "
-            "grid too coarse or state too noisy for another Darboux step"
-        )
-
-
-def _initial_chain(base: Spectrum) -> DarbouxChain:
-    return DarbouxChain(
-        base=base,
-        n_steps=0,
-        stage_states=(tuple(base.states),),
-        stage_energies=(base.energies - base.energies[0],),
-    )
 
 
 def darboux_step(chain: DarbouxChain) -> DarbouxChain:
     """Append one stage: delete the current ground level.
 
     New states are A phi_k = phi_k' - (ln|phi_g|)' phi_k for k above the
-    deleted level, renormalized and sign-fixed; energies shift so the new
-    stage ground sits at zero.
+    deleted level, taken for all of them in one pass over the stage's rows,
+    renormalized and sign-fixed; energies shift so the new stage ground
+    sits at zero.  The stage shares the kernel (ln|phi_g|)'s mask, which
+    covers the previous stage's mask and its stencil footprint.
     """
     s = chain.n_steps
     stage = chain.stage_states[s]
     if len(stage) < 2:
         raise ValueError("no levels left above the stage ground state")
-    kernel = log_derivative(stage[0])
-    new_states = []
-    for f in stage[1:]:
-        g = derivative(f) - kernel * f
-        _check_contamination(g)
-        new_states.append(_unit_state(g.grid, g.values, g.mask))
+    kernel = log_derivative(stage.state(0))
+    if kernel.mask is not None and interior_hole_fraction(kernel.mask) > MAX_MASKED_FRACTION:
+        raise ValueError(
+            "masked-node contamination exceeds 5% of the interior; "
+            "grid too coarse or state too noisy for another Darboux step"
+        )
+    above = stage.values[1:]
+    rows = _stencil(above, stage.grid.h) - kernel.values * above
     energies = chain.base.energies[s + 1 :] - chain.base.energies[s + 1]
-    return DarbouxChain(
-        base=chain.base,
-        n_steps=s + 1,
-        stage_states=chain.stage_states + (tuple(new_states),),
-        stage_energies=chain.stage_energies + (energies,),
-    )
+    new = Basis(stage.grid, energies, _unit_rows(stage.grid, rows, kernel.mask), kernel.mask)
+    return DarbouxChain(base=chain.base, n_steps=s + 1, stage_states=chain.stage_states + (new,))
 
 
 def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
@@ -116,18 +90,17 @@ def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
         raise ValueError("n_steps must be at least 1")
     if n_steps > base.kmax:
         raise ValueError(f"cannot delete {n_steps} levels with kmax={base.kmax}")
-    chain = _initial_chain(base)
+    stage0 = Basis(base.grid, base.energies - base.energies[0], base.values, base.mask)
+    chain = DarbouxChain(base=base, n_steps=0, stage_states=(stage0,))
     for _ in range(n_steps):
         chain = darboux_step(chain)
     return chain
 
 
-def _derivative_stack(f: GridFunction, order: int) -> list[np.ndarray]:
-    rows = [f.values]
-    g = f
+def _derivative_stack(values: np.ndarray, h: float, order: int) -> list[np.ndarray]:
+    rows = [values]
     for _ in range(order):
-        g = derivative(g)
-        rows.append(g.values)
+        rows.append(_stencil(rows[-1], h))
     return rows
 
 
@@ -146,7 +119,8 @@ def _crum_cofactors(base: Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
     memo = base._crum_memo
     if n in memo:
         return memo[n]
-    rows = np.array([_derivative_stack(base.state(i), n) for i in range(n)])  # (state, order, node)
+    h = base.grid.h
+    rows = np.array([_derivative_stack(base.values[i], h, n) for i in range(n)])  # (state, order, node)
     den = rows[0, 0].copy() if n == 1 else np.linalg.det(rows[:, :n].transpose(2, 1, 0))
     bad = np.abs(den) < 1e-12 * np.max(np.abs(den))
     if interior_hole_fraction(bad) > MAX_MASKED_FRACTION:
@@ -175,9 +149,9 @@ def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
     if k > base.kmax:
         raise IndexError(f"level {k} beyond kmax={base.kmax}")
     ratios, bad = _crum_cofactors(base, n)
-    rows = _derivative_stack(base.state(k), n)
+    rows = _derivative_stack(base.values[k], base.grid.h, n)
     vals = rows[n] + sum(a * row for a, row in zip(ratios, rows))
-    return _unit_state(base.grid, vals, bad)
+    return GridFunction(base.grid, _unit_rows(base.grid, vals, bad)[0], bad)
 
 
 def partner_drift(chain: DarbouxChain, stage: int | None = None) -> DriftSpec:
@@ -193,7 +167,7 @@ def partner_drift(chain: DarbouxChain, stage: int | None = None) -> DriftSpec:
     if not 1 <= s <= chain.n_steps:
         raise ValueError(f"stage {s} outside 1..{chain.n_steps}")
     try:
-        return ground_state_to_drift(chain.stage_states[s][0])
+        return ground_state_to_drift(chain.stage_states[s].state(0))
     except ValueError as exc:
         raise ValueError(f"stage-{s} ground state is not node-free: {exc}") from exc
 
@@ -216,5 +190,6 @@ def partner_pdf(chain: DarbouxChain, coeffs, t: float, temporal=None) -> GridFun
     if len(used) == 0 or np.all(used == 0.0):
         raise ValueError("all coefficients above the deleted levels vanish; no mass to evolve")
     rule = TemporalRule.classical() if temporal is None else temporal
-    factors = rule.factors(chain.stage_energies[n][: len(used)], t)
-    return _expansion(chain.stack, used, factors, normalize=True)
+    partner = chain.stage_states[n]
+    factors = rule.factors(partner.energies[: len(used)], t)
+    return _expansion(partner, used, factors, normalize=True)

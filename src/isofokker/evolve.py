@@ -6,7 +6,7 @@ c_k = int phi_k (phi_0^{-1} P) dx; each mode then relaxes with e^{-eps_k t}
 exactly: int P dx = c_0 because both temporal factors equal 1 at eps = 0.
 The Darboux partner and the deformed process use the same expansion over
 their own bases (``_expansion``), renormalized to unit mass; each basis
-keeps its states as one stack, so a density is one matrix-vector product.
+keeps its states as one array, so a density is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import GridFunction, divide, integrate, simpson_weights
 from .mittag import ml_relaxation
-from .spectral import Spectrum, StateStack
+from .spectral import Basis, Spectrum
 
 __all__ = ["TemporalRule", "FpeSolution", "project", "evolve_pdf", "moments", "truncation_residual"]
 
@@ -53,17 +53,8 @@ class TemporalRule:
     def fractional(cls, alpha: float) -> "TemporalRule":
         return cls(kind="fractional", alpha=alpha)
 
-    def factor(self, eps: float, t: float) -> float:
-        if self.kind == "classical":
-            return float(_exponential(eps, t))
-        if eps < 0.0:
-            if eps < -1e-8:
-                raise ValueError(f"negative relaxation rate {eps}")
-            eps = 0.0  # numerical zero mode
-        return ml_relaxation(self.alpha, eps, t)
-
     def factors(self, energies, t: float) -> np.ndarray:
-        """factor() for every rate in ``energies`` at once."""
+        """Factor e^{-eps t} or E_alpha(-eps t^alpha) at time t for every rate eps in ``energies``."""
         eps = np.asarray(energies, dtype=float)
         if self.kind == "classical":
             return _exponential(eps, t)
@@ -108,8 +99,7 @@ def project(P0: GridFunction, spectrum: Spectrum) -> np.ndarray:
     mass = integrate(P0)
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"initial density mass {mass} is not 1 within 1e-6")
-    phi0 = spectrum.state(0)
-    ratio = divide(P0, phi0)
+    ratio = divide(P0, spectrum.state(0))
     if ratio.mask is not None:
         lost = np.abs(vals[ratio.mask])
         if lost.size and np.max(lost) > 1e-8 * np.max(np.abs(vals)):
@@ -117,38 +107,30 @@ def project(P0: GridFunction, spectrum: Spectrum) -> np.ndarray:
                 "initial density has heavier tails than the stationary density; "
                 "phi_0^{-1} P0 blows up near the walls"
             )
-    w = simpson_weights(P0.grid)
-    weighted = w * ratio.values
-    return np.array([float(weighted @ spectrum.state(k).values) for k in range(spectrum.kmax + 1)])
+    return spectrum.values @ (simpson_weights(P0.grid) * ratio.values)
 
 
-def _expansion(stack: StateStack, coeffs, factors, normalize: bool) -> GridFunction:
-    """Density phi_0 * sum_k c_k tau_k phi_k over the basis ``stack`` (ground state first).
+def _expansion(basis: Basis, coeffs, factors, normalize: bool) -> GridFunction:
+    """Density phi_0 * sum_k c_k tau_k phi_k over ``basis`` (ground state first).
 
     One product of the weights c_k tau_k (arrays) with the first
-    len(coeffs) rows.  The result is masked on the union of the ground
-    state's mask and those of the rows with c_k != 0.  With ``normalize``
-    the density is scaled to unit mass.
+    len(coeffs) rows, masked on the basis's mask, where every row is 0 and
+    so carries no mass.  With ``normalize`` the density is scaled to unit
+    mass.
     """
-    m = len(coeffs)
-    values = stack.values[0] * ((coeffs * factors) @ stack.values[:m])
-    mask = None
-    if stack.masks is not None:
-        mask = stack.masks[0] | np.any(stack.masks[:m][coeffs != 0.0], axis=0)
+    values = basis.values[0] * ((coeffs * factors) @ basis.values[: len(coeffs)])
     if normalize:
-        if mask is not None:
-            values = np.where(mask, 0.0, values)  # masked nodes carry no mass
-        mass = float(simpson_weights(stack.grid) @ values)
+        mass = float(simpson_weights(basis.grid) @ values)
         if abs(mass) < 1e-12:
             raise ValueError("expansion carries (near-)zero total mass; cannot normalize")
         values = values / mass
-    return GridFunction(stack.grid, values, mask)
+    return GridFunction(basis.grid, values, basis.mask)
 
 
 def evolve_pdf(sol: FpeSolution, t: float) -> GridFunction:
     """Density at time t: phi_0 sum_k c_k phi_k tau_k(t); no renormalization needed."""
     factors = sol.temporal.factors(sol.spectrum.energies[: len(sol.coeffs)], t)
-    return _expansion(sol.spectrum.stack, sol.coeffs, factors, normalize=False)
+    return _expansion(sol.spectrum, sol.coeffs, factors, normalize=False)
 
 
 def moments(P: GridFunction, orders) -> list[float]:

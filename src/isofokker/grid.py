@@ -239,17 +239,20 @@ def _dilate_mask(mask: np.ndarray | None, n: int) -> np.ndarray | None:
     return out
 
 
+def _stencil(v: np.ndarray, h: float) -> np.ndarray:
+    """The :func:`derivative` stencil along the last axis of samples ``v`` (one row or a stack)."""
+    out = np.empty_like(v)
+    out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
+    out[..., 0] = v[..., :5] @ _EDGE0 / (12.0 * h)
+    out[..., 1] = v[..., :5] @ _EDGE1 / (12.0 * h)
+    out[..., -2] = -(v[..., :-6:-1] @ _EDGE1) / (12.0 * h)
+    out[..., -1] = -(v[..., :-6:-1] @ _EDGE0) / (12.0 * h)
+    return out
+
+
 def derivative(f: GridFunction) -> GridFunction:
     """4th-order first derivative: centered 5-point stencil inside, one-sided at the edges."""
-    v = f.values
-    h = f.grid.h
-    out = np.empty_like(v)
-    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    out[0] = _EDGE0 @ v[:5] / (12.0 * h)
-    out[1] = _EDGE1 @ v[:5] / (12.0 * h)
-    out[-2] = -(_EDGE1 @ v[-5:][::-1]) / (12.0 * h)
-    out[-1] = -(_EDGE0 @ v[-5:][::-1]) / (12.0 * h)
-    return GridFunction(f.grid, out, _dilate_mask(f.mask, 2))
+    return GridFunction(f.grid, _stencil(f.values, f.grid.h), _dilate_mask(f.mask, 2))
 
 
 def divide(num: GridFunction, den: GridFunction) -> GridFunction:

@@ -23,15 +23,15 @@ reinstated state stays finite and normalizable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .darboux import DarbouxChain
 from .evolve import TemporalRule, _expansion
 from .grid import GridFunction, _cumulative_simpson
-from .spectral import DriftSpec, StateStack, _stack, _unit_state, ground_state_to_drift
+from .spectral import Basis, DriftSpec, _unit_rows, ground_state_to_drift
 
 __all__ = [
     "IsoParams",
@@ -45,7 +45,7 @@ ADMISSIBILITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class IsoParams:
-    """Deformation parameters (lambda_0, ..., lambda_{n-1})."""
+    """Deformation parameters (lambda_0, ..., lambda_{n-1}), each finite."""
 
     lambdas: tuple[float, ...]
 
@@ -53,30 +53,26 @@ class IsoParams:
         object.__setattr__(self, "lambdas", tuple(float(v) for v in lambdas))
         if not self.lambdas:
             raise ValueError("need at least one deformation parameter")
+        for s, lam in enumerate(self.lambdas):
+            if not math.isfinite(lam):
+                raise ValueError(f"lambda_{s} = {lam} is not finite")
 
     def __len__(self) -> int:
         return len(self.lambdas)
 
 
 @dataclass(frozen=True, eq=False)
-class IsoDeformation:
+class IsoDeformation(Basis):
     """The deformed eigenbasis and drift.
 
-    ``states[k]`` is the deformed eigenstate at the original energy
-    ``energies[k]``; ``drift`` is the deformed process's drift
-    2 (ln|phi^_0|)', for one parameter D - 2 d/dx ln(I_0 + lambda_0).
+    Row k is the deformed eigenstate at the original energy ``energies[k]``;
+    ``drift`` is the deformed process's drift 2 (ln|phi^_0|)', for one
+    parameter D - 2 d/dx ln(I_0 + lambda_0).
     """
 
     params: IsoParams
     chain: DarbouxChain
-    states: tuple[GridFunction, ...]
-    energies: np.ndarray
     drift: DriftSpec
-
-    @cached_property
-    def stack(self) -> StateStack:
-        """The deformed states as one stack, built once."""
-        return _stack(self.states)
 
 
 def _check_admissible(lam: float, i_end: float, s: int) -> None:
@@ -104,7 +100,7 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
     if n > chain.n_steps:
         raise ValueError(f"{n} parameters but chain has only {chain.n_steps} steps")
     base = chain.base
-    phi = base.stack.values
+    phi = base.values
     gram = _cumulative_simpson(phi[:n, None] * phi, base.grid.h)  # (n, kmax+1, nodes)
     for s, lam in enumerate(params.lambdas):
         _check_admissible(lam, float(gram[s, s, -1]), s)
@@ -114,13 +110,15 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         raise ValueError("det M(x) changes sign on the grid; the parameter combination is inadmissible")
     low = np.linalg.solve(M, phi[:n].T[..., None])[..., 0].T
     high = phi[n:] - np.einsum("jx,jkx->kx", low, gram[:, n:])
-    states = tuple(_unit_state(base.grid, v) for v in (*low, *high))
+    values = _unit_rows(base.grid, np.concatenate((low, high)))
     return IsoDeformation(
+        grid=base.grid,
+        energies=base.energies,
+        values=values,
+        mask=None,
         params=params,
         chain=chain,
-        states=states,
-        energies=base.energies.copy(),
-        drift=ground_state_to_drift(states[0]),
+        drift=ground_state_to_drift(GridFunction(base.grid, values[0])),
     )
 
 
@@ -134,10 +132,8 @@ def iso_pdf(deformation: IsoDeformation, coeffs, t: float, temporal=None) -> Gri
     n modes re-enter through the reinstated states.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) > len(deformation.states):
-        raise ValueError(
-            f"got {len(coeffs)} coefficients for {len(deformation.states)} deformed states"
-        )
+    if len(coeffs) > len(deformation):
+        raise ValueError(f"got {len(coeffs)} coefficients for {len(deformation)} deformed states")
     rule = TemporalRule.classical() if temporal is None else temporal
     factors = rule.factors(deformation.energies[: len(coeffs)], t)
-    return _expansion(deformation.stack, coeffs, factors, normalize=True)
+    return _expansion(deformation, coeffs, factors, normalize=True)

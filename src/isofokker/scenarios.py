@@ -112,13 +112,12 @@ def custom_drift(path) -> DriftSpec:
 class ThermalPotential:
     """Thermal potential U(r_h) = int (T_h - T) dS of a black-hole ensemble.
 
-    T is the ensemble temperature; T_h and S are the Hawking temperature and
-    entropy of the hole as functions of the horizon radius.
+    T is the ensemble temperature, T_h the Hawking temperature of the hole
+    as a function of the horizon radius, and S = pi r_h^2 its entropy.
     """
 
     T: float
     hawking: object
-    entropy: object
     U: GridFunction
 
 
@@ -139,7 +138,6 @@ def schwarzschild_potential(T: float, grid: Grid1D) -> tuple[ThermalPotential, D
     thermal = ThermalPotential(
         T=T,
         hawking=lambda r: 1.0 / (4.0 * math.pi * r),
-        entropy=lambda r: math.pi * r**2,
         U=U,
     )
     return thermal, DriftSpec(W=W, D=D)

@@ -11,8 +11,6 @@ ground state as D = 2 (ln|phi_0|)'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
@@ -30,6 +28,7 @@ from .grid import (
 __all__ = [
     "DriftSpec",
     "SchrodingerOperator",
+    "Basis",
     "Spectrum",
     "build_hamiltonian",
     "solve_spectrum",
@@ -71,51 +70,64 @@ class SchrodingerOperator:
     offdiag: np.ndarray
 
 
-class StateStack(NamedTuple):
-    """The states of one basis as read-only rows, ground state first.
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Eigenstates on one grid, ground state first.
 
-    ``values`` is (k, N); ``masks`` is the (k, N) stack of the states' masks,
-    or None when no state carries one.
+    ``values`` holds the states as one read-only (k, N) array and
+    ``energies`` their k levels.  Every state of a basis shares the one
+    read-only ``mask`` (None when no node is unreliable), where its rows
+    are stored as 0.  ``state(k)`` and ``states`` build grid functions on
+    demand.
     """
 
     grid: Grid1D
+    energies: np.ndarray
     values: np.ndarray
-    masks: np.ndarray | None
+    mask: np.ndarray | None
 
+    def __post_init__(self):
+        energies = np.array(self.energies, dtype=float)
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(energies), self.grid.n_points):
+            raise ValueError(f"values shape {values.shape} is not {(len(energies), self.grid.n_points)}")
+        mask = None
+        if self.mask is not None and np.any(self.mask):
+            mask = np.array(self.mask, dtype=bool)
+            mask.setflags(write=False)
+            values[:, mask] = 0.0
+        energies.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mask", mask)
 
-def _stack(states) -> StateStack:
-    values = np.array([f.values for f in states])
-    values.setflags(write=False)
-    masks = None
-    if any(f.mask is not None for f in states):
-        masks = np.array([~f.unmasked() for f in states])
-        masks.setflags(write=False)
-    return StateStack(states[0].grid, values, masks)
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    def state(self, k: int) -> GridFunction:
+        return GridFunction(self.grid, self.values[k], self.mask)
+
+    @property
+    def states(self) -> tuple[GridFunction, ...]:
+        return tuple(self.state(k) for k in range(len(self)))
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Basis):
     """Lowest eigenpairs, energies strictly increasing, states L2-normalized.
 
     Sign convention: each state rises positively off the left wall
     (phi_k'(c1) > 0), which makes downstream chains reproducible run to run.
     """
 
-    grid: Grid1D
-    energies: np.ndarray
-    states: tuple[GridFunction, ...]
-    kmax: int
     # Work shared by every call at one n, keyed by n (see darboux.crum_states);
     # safe to keep because the spectrum is frozen and its states read-only.
     _crum_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def state(self, k: int) -> GridFunction:
-        return self.states[k]
-
-    @cached_property
-    def stack(self) -> StateStack:
-        """The states as one (kmax+1, N) stack, built once."""
-        return _stack(self.states)
+    @property
+    def kmax(self) -> int:
+        return len(self) - 1
 
 
 def _l2_norm(grid: Grid1D, values: np.ndarray) -> float:
@@ -125,9 +137,12 @@ def _l2_norm(grid: Grid1D, values: np.ndarray) -> float:
     return float(nrm)
 
 
-def _leads_negative(values: np.ndarray) -> bool:
-    significant = np.abs(values) > 1e-3 * np.max(np.abs(values))
-    return bool(values[int(np.argmax(significant))] < 0)
+def _leads_negative(values: np.ndarray) -> np.ndarray:
+    """Whether the leftmost significant sample is negative, along the last axis."""
+    absv = np.abs(values)
+    significant = absv > 1e-3 * np.max(absv, axis=-1, keepdims=True)
+    lead = np.take_along_axis(values, np.argmax(significant, axis=-1)[..., None], axis=-1)
+    return lead[..., 0] < 0
 
 
 def normalized(f: GridFunction) -> GridFunction:
@@ -140,15 +155,14 @@ def sign_fixed(f: GridFunction) -> GridFunction:
     return -f if _leads_negative(f.values) else f
 
 
-def _unit_state(grid: Grid1D, values: np.ndarray, mask: np.ndarray | None = None) -> GridFunction:
-    """``sign_fixed(normalized(GridFunction(grid, values, mask)))``, built as one object."""
-    v = np.asarray(values, dtype=float)
+def _unit_rows(grid: Grid1D, rows, mask: np.ndarray | None = None) -> np.ndarray:
+    """``sign_fixed(normalized(GridFunction(grid, row, mask)))`` for every row, as one (k, N) array."""
+    v = np.array(rows, dtype=float, ndmin=2)
     if mask is not None:
-        v = np.where(mask, 0.0, v)
-    u = v / _l2_norm(grid, v)
-    if _leads_negative(u):
-        u = -u
-    return GridFunction(grid, u, mask)
+        v[:, mask] = 0.0
+    v /= np.array([_l2_norm(grid, row) for row in v])[:, None]
+    v[_leads_negative(v)] *= -1.0
+    return v
 
 
 def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
@@ -243,12 +257,9 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
         energies[0] = 0.0
     if np.any(np.diff(energies) <= 0):
         raise RuntimeError("eigenvalues not strictly increasing; resolution too coarse")
-    states = []
-    for k in range(kmax + 1):
-        full = np.zeros(n)
-        full[1:-1] = vectors[:, k]
-        states.append(_unit_state(op.grid, full))
-    return Spectrum(op.grid, energies, tuple(states), kmax)
+    full = np.zeros((kmax + 1, n))
+    full[:, 1:-1] = vectors.T
+    return Spectrum(op.grid, energies, _unit_rows(op.grid, full), None)
 
 
 def ground_state_to_drift(phi0: GridFunction) -> DriftSpec:

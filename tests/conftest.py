@@ -154,7 +154,7 @@ def reinstate_reference(chain, lambdas) -> list:
     Independent of the Gram-matrix route of ``reinstate`` on purpose.
     """
     n = len(lambdas)
-    grounds = [chain.stage_states[s][0] for s in range(n)]
+    grounds = [chain.stage_states[s].state(0) for s in range(n)]
     a_kernels = [_floored_ratio(derivative(f), f, _peak_floor(f)) for f in grounds]
     dressed = [None] * n
     b_kernels = [None] * n

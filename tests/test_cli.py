@@ -74,6 +74,12 @@ class TestDeformCommand:
         assert rc == 1
         assert "excluded interval" in err and "[-1, 0]" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_one(self, capsys, tmp_path, value):
+        rc, _, err = run_cli(capsys, "deform", f"--lambda={value}", "--out", str(tmp_path))
+        assert rc == 1
+        assert err.startswith("error: ") and f"lambda_0 = {value} is not finite" in err
+
     def test_missing_lambda_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "deform", "--out", str(tmp_path))
         assert rc == 1

@@ -4,7 +4,6 @@ import pytest
 from conftest import align_sign, crum_reference
 from isofokker.darboux import build_chain, crum_states, darboux_step, partner_drift, partner_pdf
 from isofokker.grid import (
-    GridFunction,
     derivative,
     integrate,
     interior_sign_changes,
@@ -16,7 +15,14 @@ from isofokker.grid import (
 )
 from isofokker.oracle import CnConfig, cn_evolve
 from isofokker.scenarios import box_scenario
-from isofokker.spectral import Spectrum, build_hamiltonian, ground_state_to_drift, solve_spectrum
+from isofokker.spectral import (
+    Spectrum,
+    build_hamiltonian,
+    ground_state_to_drift,
+    normalized,
+    sign_fixed,
+    solve_spectrum,
+)
 from isofokker.evolve import project
 
 
@@ -24,19 +30,19 @@ class TestDarbouxStep:
     def test_ou_stage_energies(self, ou_chain3):
         # deleting the bottom level of the linear-drift spectrum shifts it down by one
         for s in (1, 2, 3):
-            got = ou_chain3.stage_energies[s]
+            got = ou_chain3.stage_states[s].energies
             assert np.max(np.abs(got - np.arange(len(got)))) < 2e-3
 
     def test_annihilation_of_stage_ground(self, ou_chain3):
         # applying the stage operator to its own ground state gives ~0
         for s in (0, 1, 2):
-            ground = ou_chain3.stage_states[s][0]
+            ground = ou_chain3.stage_states[s].state(0)
             kernel = log_derivative(ground)
             out = derivative(ground) - kernel * ground
             assert sup_norm(out) <= 1e-5 * sup_norm(ground)
 
     def test_stage_states_orthonormal(self, ou_chain3):
-        states = ou_chain3.stage_states[1]
+        states = ou_chain3.stage_states[1].states
         worst = max(
             abs(integrate(states[i] * states[j]) - (i == j))
             for i in range(len(states))
@@ -59,6 +65,53 @@ class TestDarbouxStep:
             build_chain(ou_spectrum, 0)
         with pytest.raises(ValueError):
             build_chain(ou_spectrum, 8)
+
+
+_ONE_MASK_PREPOTENTIALS = {
+    # OU on its default domain, where the decaying tails fill wide masked bands
+    "ou-0.5": ((-12.0, 12.0), lambda x: 0.5 * x**2 / 4.0),
+    "ou-1": ((-12.0, 12.0), lambda x: x**2 / 4.0),
+    "ou-2": ((-12.0, 12.0), lambda x: 2.0 * x**2 / 4.0),
+    "quartic": ((-5.0, 5.0), lambda x: x**4 / 4.0),
+}
+
+
+def _as_mask(mask, n_points):
+    return np.zeros(n_points, dtype=bool) if mask is None else mask
+
+
+@pytest.mark.parametrize("n_points", [1001, 4001])
+@pytest.mark.parametrize("case", list(_ONE_MASK_PREPOTENTIALS))
+class TestOneMaskPerBasis:
+    """Every state of a basis carries the same mask, so a basis stores it once."""
+
+    @staticmethod
+    def _spectrum(case, n_points):
+        (c1, c2), prepotential = _ONE_MASK_PREPOTENTIALS[case]
+        return solve_spectrum(build_hamiltonian(sample(make_grid(c1, c2, n_points), prepotential)), 7)
+
+    def test_stage_mask_is_the_per_state_route_mask(self, case, n_points):
+        chain = build_chain(self._spectrum(case, n_points), 4)
+        for s in range(1, 5):
+            previous, stage = chain.stage_states[s - 1], chain.stage_states[s]
+            kernel = log_derivative(previous.state(0))
+            expected = _as_mask(stage.mask, n_points)
+            assert expected.any()
+            for j, f in enumerate(previous.states):
+                g = derivative(f) - kernel * f
+                assert np.array_equal(~g.unmasked(), expected), (s, j)
+                if j > 0:
+                    # the same arithmetic, except the order of the one-sided edge
+                    # sums where a wide ground state leaves the edges unmasked
+                    ref = sign_fixed(normalized(g)).values
+                    assert np.max(np.abs(stage.values[j - 1] - ref)) <= 1e-15, (s, j)
+
+    def test_crum_states_share_one_mask(self, case, n_points):
+        spec = self._spectrum(case, n_points)
+        for n in range(1, 5):
+            first = _as_mask(crum_states(spec, n, n).mask, n_points)
+            for k in range(n + 1, spec.kmax + 1):
+                assert np.array_equal(_as_mask(crum_states(spec, n, k).mask, n_points), first), (n, k)
 
 
 class TestCrumStates:
@@ -148,12 +201,8 @@ class TestCrumCofactorExpansion:
         g = make_grid(-1.0, 1.0, 401)
         x = g.x
         bump = np.where(np.abs(x) > 0.2, np.sin(np.pi * x) ** 2, 0.0)
-        states = (
-            GridFunction(g, bump),
-            GridFunction(g, np.sin(np.pi * (x + 1.0) / 2.0) * x),
-            GridFunction(g, np.sin(np.pi * (x + 1.0))),
-        )
-        spec = Spectrum(g, np.array([0.0, 1.0, 2.0]), states, 2)
+        states = [bump, np.sin(np.pi * (x + 1.0) / 2.0) * x, np.sin(np.pi * (x + 1.0))]
+        spec = Spectrum(g, np.array([0.0, 1.0, 2.0]), states, None)
         for _ in range(3):
             with pytest.raises(ValueError, match="denominator Wronskian"):
                 crum_states(spec, 1, 1)
@@ -207,14 +256,14 @@ class TestPartnerPdf:
         p0 = partner_pdf(chain, coeffs, 0.0)
         p5 = partner_pdf(chain, coeffs, 5.0)
         assert sup_diff(p0, p5) < 1e-12
-        ground = chain.stage_states[1][0]
+        ground = chain.stage_states[1].state(0)
         stationary = ground * ground
         assert sup_diff(p0, stationary / integrate(stationary)) < 1e-10
 
     def test_late_time_limit(self, ou_spectrum, gaussian_ic):
         chain = build_chain(ou_spectrum, 1)
         coeffs = project(gaussian_ic, ou_spectrum)
-        ground = chain.stage_states[1][0]
+        ground = chain.stage_states[1].state(0)
         stationary = ground * ground
         stationary = stationary / integrate(stationary)
         assert sup_diff(partner_pdf(chain, coeffs, 30.0), stationary) < 1e-10

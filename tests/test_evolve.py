@@ -6,17 +6,17 @@ import pytest
 from isofokker.darboux import build_chain, partner_pdf
 from isofokker.evolve import (
     FpeSolution,
-    _expansion,
     TemporalRule,
     evolve_pdf,
     moments,
     project,
     truncation_residual,
 )
-from isofokker.grid import GridFunction, integrate, make_grid, sample, simpson_weights, sup_diff
+from isofokker.grid import integrate, make_grid, sample, simpson_weights, sup_diff
 from isofokker.isospectral import IsoParams, iso_pdf, reinstate
+from isofokker.mittag import ml_relaxation
 from isofokker.scenarios import ou_transition
-from isofokker.spectral import _stack, build_hamiltonian, solve_spectrum
+from isofokker.spectral import build_hamiltonian, solve_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +44,12 @@ class TestTemporalRule:
         rule = TemporalRule.fractional(0.5)
         from scipy.special import erfc
 
-        assert rule.factor(1.0, 1.0) == pytest.approx(math.e * erfc(1.0), abs=1e-10)
+        assert rule.factors([1.0], 1.0)[0] == pytest.approx(math.e * erfc(1.0), abs=1e-10)
 
     def test_zero_energy_never_decays(self):
         rule = TemporalRule.fractional(0.3)
         for t in (0.0, 1.0, 1e3):
-            assert rule.factor(0.0, t) == 1.0
+            assert rule.factors([0.0], t)[0] == 1.0
 
     @pytest.mark.parametrize(
         "rule", [TemporalRule.classical(), TemporalRule.fractional(0.3), TemporalRule.fractional(0.75)]
@@ -57,7 +57,10 @@ class TestTemporalRule:
     def test_factors_match_per_mode_factor(self, rule):
         energies = np.array([0.0, 0.5, 1.0, 2.0, 7.0, 40.0])
         for t in (0.0, 0.01, 1.0, 25.0):
-            per_mode = [rule.factor(float(e), t) for e in energies]
+            if rule.kind == "classical":
+                per_mode = [math.exp(-e * t) for e in energies]
+            else:
+                per_mode = [ml_relaxation(rule.alpha, float(e), t) for e in energies]
             assert np.max(np.abs(rule.factors(energies, t) - per_mode)) <= 1e-14
 
     def test_factors_snap_numerical_zero_modes(self):
@@ -74,8 +77,6 @@ class TestTemporalRule:
         rule = TemporalRule.classical()
         with pytest.raises(ValueError, match="time"):
             rule.factors([0.0, 1.0], t)
-        with pytest.raises(ValueError, match="time"):
-            rule.factor(1.0, t)
 
 
 class TestProject:
@@ -151,7 +152,7 @@ class TestEvolvePdf:
     def test_fractional_temporal_factor(self):
         # alpha = 0.5, eps = 1, t = 1: factor is E_{1/2}(-1) ~ 0.4275836
         rule = TemporalRule.fractional(0.5)
-        assert rule.factor(1.0, 1.0) == pytest.approx(0.4275835761558070, abs=1e-9)
+        assert rule.factors([1.0], 1.0)[0] == pytest.approx(0.4275835761558070, abs=1e-9)
 
     def test_mass_conservation_both_rules(self, ou_spectrum, gaussian_coeffs):
         for rule in (TemporalRule.classical(), TemporalRule.fractional(0.5)):
@@ -216,8 +217,8 @@ class TestExpansionKernel:
     @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.6)])
     def test_partner_pdf_matches_mode_sum(self, ou_chain3, gaussian_coeffs, rule):
         n = ou_chain3.n_steps
-        factors = rule.factors(ou_chain3.stage_energies[n], 0.7)
-        ref, mask = _mode_sum_density(ou_chain3.stage_states[n], gaussian_coeffs[n:], factors)
+        factors = rule.factors(ou_chain3.stage_states[n].energies, 0.7)
+        ref, mask = _mode_sum_density(ou_chain3.stage_states[n].states, gaussian_coeffs[n:], factors)
         p = partner_pdf(ou_chain3, gaussian_coeffs, 0.7, rule)
         assert mask.any()
         assert np.array_equal(~p.unmasked(), mask)
@@ -241,25 +242,14 @@ class TestExpansionKernel:
         assert np.array_equal(~p.unmasked(), mask)
         assert np.max(np.abs(p.values - ref)) <= 1e-14
 
-    def test_zero_coefficient_leaves_its_mask_out(self, ou_chain3):
-        # the partner states share one mask, so widen the first excited one's
-        ground, first = ou_chain3.stage_states[ou_chain3.n_steps][:2]
-        first = GridFunction(first.grid, first.values, ~first.unmasked() | (np.abs(first.x) > 8.0))
-        assert np.any(first.mask & ~ground.mask)
-        stack = _stack((ground, first))
-        alone = _expansion(stack, np.array([1.0, 0.0]), np.ones(2), normalize=True)
-        both = _expansion(stack, np.array([1.0, 0.1]), np.ones(2), normalize=True)
-        assert np.array_equal(alone.mask, ground.mask)
-        assert np.array_equal(both.mask, ground.mask | first.mask)
-
-    def test_stacks_are_the_bases_built_once(self, ou_chain3, defo_pair):
-        stack, states = ou_chain3.stack, ou_chain3.stage_states[ou_chain3.n_steps]
-        assert np.array_equal(stack.values, [f.values for f in states])
-        assert np.array_equal(stack.masks, [~f.unmasked() for f in states])
-        assert not (stack.values.flags.writeable or stack.masks.flags.writeable)
-        assert np.array_equal(defo_pair.stack.values, [f.values for f in defo_pair.states])
-        assert defo_pair.stack.masks is None and not defo_pair.stack.values.flags.writeable
-        assert ou_chain3.stack is ou_chain3.stack and defo_pair.stack is defo_pair.stack
+    def test_bases_hold_their_states_once(self, ou_chain3, defo_pair):
+        partner = ou_chain3.stage_states[ou_chain3.n_steps]
+        assert partner.mask.any() and not (partner.values.flags.writeable or partner.mask.flags.writeable)
+        assert np.all(partner.values[:, partner.mask] == 0.0)
+        for f, row in zip(partner.states, partner.values):
+            assert np.array_equal(f.values, row) and np.array_equal(f.mask, partner.mask)
+        assert defo_pair.mask is None and not defo_pair.values.flags.writeable
+        assert np.array_equal(defo_pair.values, [f.values for f in defo_pair.states])
 
     def test_near_zero_mass_rejected(self, ou_chain3, defo_pair):
         # phi_4 alone is orthogonal to the stage-3 ground state

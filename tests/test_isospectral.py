@@ -74,6 +74,15 @@ class TestVirtualState:
         assert np.all(np.isfinite(defo.drift.D.values))
 
 
+class TestIsoParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, bad):
+        # nan used to surface as a numpy warning and a misleading det M sign change,
+        # +-inf as a zero norm
+        with pytest.raises(ValueError, match=r"lambda_1 = -?(nan|inf) is not finite"):
+            IsoParams([0.5, bad])
+
+
 class TestReinstate:
     def test_single_parameter_ground_state_closed_form(self, defo_half, ou_spectrum):
         # phi^_0 = phi0 / (I0 + lambda) up to normalization

@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from isofokker.grid import (
 from isofokker.scenarios import box_scenario, custom_drift, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
     DriftSpec,
-    _unit_state,
+    _unit_rows,
     build_hamiltonian,
     ground_state_to_drift,
     normalized,
@@ -224,21 +222,13 @@ class TestAgainstFullBisection:
         assert tols == ([spectral.ISOLATION_TOL, 0.0] if escalates else [spectral.ISOLATION_TOL])
 
 
-class TestStateStack:
-    def test_rows_are_the_states_built_once(self, ou_spectrum):
-        stack = ou_spectrum.stack
-        assert stack is ou_spectrum.stack
-        assert stack.grid is ou_spectrum.grid and stack.masks is None
-        assert np.array_equal(stack.values, [f.values for f in ou_spectrum.states])
-        assert not stack.values.flags.writeable
-
-    def test_stack_dies_with_its_basis(self):
-        g = make_grid(-12.0, 12.0, 201)
-        spec = solve_spectrum(build_hamiltonian(ou_scenario(g).W), 3)
-        values = weakref.ref(spec.stack.values)
-        del spec
-        gc.collect()
-        assert values() is None
+class TestBasis:
+    def test_rows_are_the_states(self, ou_spectrum):
+        assert len(ou_spectrum) == ou_spectrum.kmax + 1 == 8
+        assert ou_spectrum.values.shape == (8, ou_spectrum.grid.n_points) and ou_spectrum.mask is None
+        assert np.array_equal(ou_spectrum.values, [f.values for f in ou_spectrum.states])
+        assert all(f.grid is ou_spectrum.grid and f.mask is None for f in ou_spectrum.states)
+        assert not (ou_spectrum.values.flags.writeable or ou_spectrum.energies.flags.writeable)
 
 
 class TestUnitState:
@@ -254,16 +244,16 @@ class TestUnitState:
             mask = np.abs(x) > 10.0
             values = np.where(mask, 7.0, values)
         ref = sign_fixed(normalized(GridFunction(ou_grid, values, mask)))
-        got = _unit_state(ou_grid, values, mask)
-        assert got.values.tobytes() == ref.values.tobytes()
-        if masked:
-            assert np.array_equal(got.mask, ref.mask)
-        else:
-            assert got.mask is None and ref.mask is None
+        got = _unit_rows(ou_grid, [values, -2.0 * values], mask)
+        assert got.shape == (2, ou_grid.n_points)
+        # read as every caller stores them, with masked nodes at +0
+        for row in got:
+            assert GridFunction(ou_grid, row, mask).values.tobytes() == ref.values.tobytes()
+        assert (ref.mask is not None) == masked
 
     def test_zero_norm_rejected(self, ou_grid):
         with pytest.raises(ValueError, match="normalize"):
-            _unit_state(ou_grid, np.zeros(ou_grid.n_points))
+            _unit_rows(ou_grid, np.zeros(ou_grid.n_points))
 
 
 class TestGroundStateToDrift:
