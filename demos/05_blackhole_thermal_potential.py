@@ -16,6 +16,8 @@ from isofokker import (
     build_chain,
     build_hamiltonian,
     cumulative_integral,
+    divide,
+    ground_state_to_drift,
     make_grid,
     reinstate,
     sample,
@@ -55,7 +57,9 @@ shifted = spectrum.energies[:4] - spectrum.energies[0]
 print(f"  re-solved deformed levels:   {np.round(resolved.energies, 4)}")
 print(f"  original levels (shifted):   {np.round(shifted, 4)}")
 print(f"  max abs difference:          {np.max(np.abs(resolved.energies - shifted)):.2e}")
-U_deformed = 2.0 * deformation.drift.W
+# U^ = U - 2 ln|phi^_0/phi_0|: both ground states vanish at the walls, and
+# their ratio stays smooth there
+U_deformed = thermal.U + 2.0 * ground_state_to_drift(divide(deformation.state(0), spectrum.state(0))).W
 keep = U_deformed.unmasked()
 print(f"  deformed thermal potential spans [{U_deformed.values[keep].min():.3f}, "
       f"{U_deformed.values[keep].max():.3f}] over the window")

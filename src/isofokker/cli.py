@@ -20,12 +20,14 @@ import numpy as np
 
 from .darboux import build_chain, partner_drift, partner_pdf
 from .evolve import FpeSolution, TemporalRule, evolve_pdf, moments, project, truncation_residual
-from .grid import GridFunction, cumulative_integral, integrate, make_grid, sample, sup_diff, write_csv
+from .grid import (
+    GridFunction, cumulative_integral, divide, integrate, make_grid, read_csv_columns, sample, sup_diff, write_csv,
+)
 from .isospectral import IsoParams, iso_pdf, reinstate
 from .mittag import mittag_leffler, ml_relaxation
 from .oracle import CnConfig, cn_evolve, gl_residual
 from .scenarios import box_scenario, custom_drift, ou_scenario, schwarzschild_potential
-from .spectral import build_hamiltonian, solve_spectrum
+from .spectral import build_hamiltonian, ground_state_to_drift, solve_spectrum
 
 SCHEMA_VERSION = 1
 
@@ -94,31 +96,29 @@ def _max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _scenario_drift(cfg: dict[str, object], grid):
+# Grid of each built-in scenario when --grid is not given.
+_DEFAULT_GRIDS = {"ou": (-12.0, 12.0, 2001), "box": (0.0, 1.0, 2001), "schwarzschild": (0.1, 3.0, 581)}
+
+
+def _scenario_drift(cfg: dict[str, object]):
+    """The drift of --scenario on the run's one grid: a csv: file's own, else --grid or the default."""
     name = cfg["scenario"]
-    if name == "ou":
-        return ou_scenario(grid, gamma=cfg["gamma"])
-    if name == "box":
-        return box_scenario(grid)
-    if name == "schwarzschild":
-        _, drift = schwarzschild_potential(cfg["temperature"], grid)
-        return drift
     if name.startswith("csv:"):
+        if cfg["grid"] is not None:
+            raise UsageError("--grid does not apply to a csv: scenario, whose grid is its file's")
         try:
             return custom_drift(name[4:])
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load drift from {name[4:]}: {exc}") from exc
-    raise UsageError(f"unknown scenario {name!r} (expected ou, box, schwarzschild, or csv:PATH)")
-
-
-def _default_grid_for(cfg: dict[str, object]):
-    if cfg["grid"] is not None:
-        return make_grid(*_parse_grid(cfg["grid"]))
-    if cfg["scenario"] == "box":
-        return make_grid(0.0, 1.0, 2001)
-    if cfg["scenario"] == "schwarzschild":
-        return make_grid(0.1, 3.0, 581)
-    return make_grid(-12.0, 12.0, 2001)
+    if name not in _DEFAULT_GRIDS:
+        raise UsageError(f"unknown scenario {name!r} (expected ou, box, schwarzschild, or csv:PATH)")
+    grid = make_grid(*(_DEFAULT_GRIDS[name] if cfg["grid"] is None else _parse_grid(cfg["grid"])))
+    if name == "ou":
+        return ou_scenario(grid, gamma=cfg["gamma"])
+    if name == "box":
+        return box_scenario(grid)
+    _, drift = schwarzschild_potential(cfg["temperature"], grid)
+    return drift
 
 
 def _out_path(cfg, name: str) -> str:
@@ -141,9 +141,8 @@ def _emit(cfg, **fields) -> None:
 
 
 def _spectrum_pipeline(cfg):
-    grid = _default_grid_for(cfg)
-    drift = _scenario_drift(cfg, grid)
-    return grid, solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
+    drift = _scenario_drift(cfg)
+    return drift.grid, solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
 
 
 def _reinstated(spectrum, lambdas_text: str, levels_above: int):
@@ -238,16 +237,12 @@ def _initial_condition(cfg, grid) -> GridFunction:
     if spec.startswith("csv:"):
         path = spec[4:]
         try:
-            rows = np.genfromtxt(path, delimiter=",")
+            columns = read_csv_columns(path)
         except OSError as exc:
             raise UsageError(f"cannot read IC file {path}: {exc}") from exc
-        if rows.ndim != 2 or rows.shape[1] != 2:
+        if len(columns) != 2:
             raise UsageError(f"{path}: IC CSV must have two columns (x, P)")
-        if np.isnan(rows[0]).all():
-            rows = rows[1:]
-        if not np.all(np.isfinite(rows)):
-            raise UsageError(f"{path}: non-finite entries in IC samples")
-        x, p = rows[:, 0], rows[:, 1]
+        x, p = columns.values()
         if np.any(np.diff(x) <= 0):
             raise UsageError(f"{path}: IC x values must be strictly increasing")
         # zero outside the sampled range rather than np.interp's constant tails
@@ -316,9 +311,11 @@ def cmd_blackhole(cfg) -> int:
     if cfg["lambdas"] is not None:
         spectrum = solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
         deformation = _reinstated(spectrum, cfg["lambdas"], 1)
-        # deformed drift potential: U^ = 2 W^
-        columns["U_deformed"] = 2.0 * deformation.drift.W
-        columns["D_deformed"] = deformation.drift.D
+        # the deformation changes the drift by 2 (ln|phi^_0/phi_0|)'; the
+        # ratio is smooth where each ground state has a Dirichlet wall zero
+        change = ground_state_to_drift(divide(deformation.state(0), spectrum.state(0)))
+        columns["U_deformed"] = thermal.U + 2.0 * change.W
+        columns["D_deformed"] = drift.D + change.D
         fields["eigenvalues"] = list(spectrum.energies)
     write_csv(_out_path(cfg, "blackhole.csv"), columns)
     _emit(cfg, **fields)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import TemporalRule, _expansion
-from .grid import GridFunction, _stencil, interior_hole_fraction, log_derivative
+from .evolve import _expansion
+from .grid import GridFunction, _below_floor, _stencil, interior_hole_fraction, log_derivative
 from .spectral import Basis, DriftSpec, Spectrum, _unit_rows, ground_state_to_drift
 
 __all__ = [
@@ -122,7 +122,7 @@ def _crum_cofactors(base: Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
     h = base.grid.h
     rows = np.array([_derivative_stack(base.values[i], h, n) for i in range(n)])  # (state, order, node)
     den = rows[0, 0].copy() if n == 1 else np.linalg.det(rows[:, :n].transpose(2, 1, 0))
-    bad = np.abs(den) < 1e-12 * np.max(np.abs(den))
+    bad = _below_floor(den)
     if interior_hole_fraction(bad) > MAX_MASKED_FRACTION:
         raise ValueError("denominator Wronskian vanishes on more than 5% of the interior")
     system = np.where(bad[:, None, None], np.eye(n), rows[:, :n].transpose(2, 0, 1))
@@ -183,13 +183,7 @@ def partner_pdf(chain: DarbouxChain, coeffs, t: float, temporal=None) -> GridFun
     n = chain.n_steps
     if n < 1:
         raise ValueError("chain has no completed Darboux steps")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) > chain.kmax + 1:
-        raise ValueError(f"got {len(coeffs)} coefficients for kmax={chain.kmax}")
-    used = coeffs[n:]
-    if len(used) == 0 or np.all(used == 0.0):
+    used = np.asarray(coeffs, dtype=float)[n:]
+    if not np.any(used):
         raise ValueError("all coefficients above the deleted levels vanish; no mass to evolve")
-    rule = TemporalRule.classical() if temporal is None else temporal
-    partner = chain.stage_states[n]
-    factors = rule.factors(partner.energies[: len(used)], t)
-    return _expansion(partner, used, factors, normalize=True)
+    return _expansion(chain.stage_states[n], used, t, temporal, normalize=True)

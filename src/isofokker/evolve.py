@@ -110,14 +110,21 @@ def project(P0: GridFunction, spectrum: Spectrum) -> np.ndarray:
     return spectrum.values @ (simpson_weights(P0.grid) * ratio.values)
 
 
-def _expansion(basis: Basis, coeffs, factors, normalize: bool) -> GridFunction:
-    """Density phi_0 * sum_k c_k tau_k phi_k over ``basis`` (ground state first).
+def _expansion(basis: Basis, coeffs, t: float, temporal: TemporalRule | None, normalize: bool) -> GridFunction:
+    """Density phi_0 * sum_k c_k tau_k(t) phi_k over ``basis`` (ground state first).
 
-    One product of the weights c_k tau_k (arrays) with the first
-    len(coeffs) rows, masked on the basis's mask, where every row is 0 and
-    so carries no mass.  With ``normalize`` the density is scaled to unit
-    mass.
+    The one entry of every density: checks that ``coeffs`` fit the basis,
+    takes the temporal factors tau_k of the basis energies from
+    ``temporal`` (classical when None), and forms one product of the
+    weights c_k tau_k with the first len(coeffs) rows, masked on the
+    basis's mask, where every row is 0 and so carries no mass.  With
+    ``normalize`` the density is scaled to unit mass.
     """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if len(coeffs) > len(basis):
+        raise ValueError(f"got {len(coeffs)} coefficients for {len(basis)} states")
+    rule = TemporalRule.classical() if temporal is None else temporal
+    factors = rule.factors(basis.energies[: len(coeffs)], t)
     values = basis.values[0] * ((coeffs * factors) @ basis.values[: len(coeffs)])
     if normalize:
         mass = float(simpson_weights(basis.grid) @ values)
@@ -129,8 +136,7 @@ def _expansion(basis: Basis, coeffs, factors, normalize: bool) -> GridFunction:
 
 def evolve_pdf(sol: FpeSolution, t: float) -> GridFunction:
     """Density at time t: phi_0 sum_k c_k phi_k tau_k(t); no renormalization needed."""
-    factors = sol.temporal.factors(sol.spectrum.energies[: len(sol.coeffs)], t)
-    return _expansion(sol.spectrum, sol.coeffs, factors, normalize=False)
+    return _expansion(sol.spectrum, sol.coeffs, t, sol.temporal, normalize=False)
 
 
 def moments(P: GridFunction, orders) -> list[float]:

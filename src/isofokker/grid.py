@@ -223,7 +223,7 @@ _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
 
 
-def _dilate_mask(mask: np.ndarray | None, n: int) -> np.ndarray | None:
+def _dilate_mask(mask: np.ndarray | None) -> np.ndarray | None:
     """Grow a mask by the differentiation stencil footprint."""
     if mask is None:
         return None
@@ -252,25 +252,30 @@ def _stencil(v: np.ndarray, h: float) -> np.ndarray:
 
 def derivative(f: GridFunction) -> GridFunction:
     """4th-order first derivative: centered 5-point stencil inside, one-sided at the edges."""
-    return GridFunction(f.grid, _stencil(f.values, f.grid.h), _dilate_mask(f.mask, 2))
+    return GridFunction(f.grid, _stencil(f.values, f.grid.h), _dilate_mask(f.mask))
+
+
+def _below_floor(v: np.ndarray) -> np.ndarray:
+    """Nodes where |v| < DEFAULT_FLOOR_FRACTION * max|v|, too small to divide by.
+
+    The floor suits denominators that decay from an O(1) peak, such as
+    eigenstates.  Raises if v vanishes on every node.
+    """
+    absv = np.abs(v)
+    floor = DEFAULT_FLOOR_FRACTION * np.max(absv)
+    if floor == 0.0:
+        raise ValueError("denominator vanishes on every node")
+    return absv < floor
 
 
 def divide(num: GridFunction, den: GridFunction) -> GridFunction:
-    """Pointwise num/den, masking nodes where |den| < 1e-12 * max|den|.
+    """Pointwise num/den on one grid, masking nodes where |den| is below the floor.
 
-    The floor suits denominators that decay from an O(1) peak, such as
-    eigenstates.  Raises if the denominator vanishes or if every node is
-    below the floor or masked.
+    Raises if the operands live on different grids, if the denominator
+    vanishes, or if every node is below the floor or masked.
     """
-    dv = den.values
-    floor = DEFAULT_FLOOR_FRACTION * np.max(np.abs(dv))
-    if floor == 0.0:
-        raise ValueError("denominator vanishes on every node")
-    bad = np.abs(dv) < floor
-    if num.mask is not None:
-        bad = bad | num.mask
-    if den.mask is not None:
-        bad = bad | den.mask
+    dv = num._other_values(den)
+    bad = _below_floor(dv) | ~num.unmasked() | ~den.unmasked()
     if bad.all():
         raise ValueError("denominator below floor on every node")
     out = np.where(bad, 0.0, num.values / np.where(bad, 1.0, dv))
@@ -278,7 +283,7 @@ def divide(num: GridFunction, den: GridFunction) -> GridFunction:
 
 
 def log_derivative(f: GridFunction) -> GridFunction:
-    """(ln|f|)' = f'/f with nodes where |f| < 1e-12 * max|f| masked out.
+    """(ln|f|)' = f'/f with nodes where |f| is below the floor masked out.
 
     Raises if |f| sits below that floor everywhere.
     """
@@ -355,21 +360,25 @@ def write_csv(path, columns: dict[str, GridFunction]) -> None:
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:
-    """Read a CSV written by :func:`write_csv` (or any headered numeric CSV)."""
+    """Read a CSV written by :func:`write_csv` (or any numeric CSV) as named columns.
+
+    A first row that is not all numbers is the header; a headerless file's
+    columns are named col0, col1, ...  Every entry must be finite.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        names = [n.strip() for n in header.split(",")]
+        names = [n.strip() for n in fh.readline().strip().split(",")]
         try:
             [float(n) for n in names]
         except ValueError:
-            data = np.genfromtxt(fh, delimiter=",")
+            pass
         else:
-            # headerless file: first row was data
             fh.seek(0)
-            data = np.genfromtxt(fh, delimiter=",")
-            names = [f"col{i}" for i in range(data.shape[1] if data.ndim > 1 else 1)]
+            names = [f"col{i}" for i in range(len(names))]
+        data = np.genfromtxt(fh, delimiter=",")
     if data.ndim == 1:
         data = data.reshape(-1, len(names))
     if data.shape[1] != len(names):
         raise ValueError(f"malformed CSV {path}: {data.shape[1]} columns, {len(names)} names")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite entries")
     return {name: data[:, i] for i, name in enumerate(names)}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import DarbouxChain
-from .evolve import TemporalRule, _expansion
+from .evolve import _expansion
 from .grid import GridFunction, _cumulative_simpson
 from .spectral import Basis, DriftSpec, _unit_rows, ground_state_to_drift
 
@@ -131,9 +131,4 @@ def iso_pdf(deformation: IsoDeformation, coeffs, t: float, temporal=None) -> Gri
     projections of the initial density on the original spectrum; the lowest
     n modes re-enter through the reinstated states.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) > len(deformation):
-        raise ValueError(f"got {len(coeffs)} coefficients for {len(deformation)} deformed states")
-    rule = TemporalRule.classical() if temporal is None else temporal
-    factors = rule.factors(deformation.energies[: len(coeffs)], t)
-    return _expansion(deformation, coeffs, factors, normalize=True)
+    return _expansion(deformation, coeffs, t, temporal, normalize=True)

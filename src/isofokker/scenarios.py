@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, GridFunction, cumulative_integral, sample
+from .grid import Grid1D, GridFunction, cumulative_integral, read_csv_columns, sample
 from .spectral import DriftSpec
 
 __all__ = [
@@ -82,21 +82,15 @@ def box_scenario(grid: Grid1D) -> DriftSpec:
 
 
 def custom_drift(path) -> DriftSpec:
-    """Drift from a two-column CSV (x, D) sampled on a uniform grid.
+    """Drift from a two-column CSV (x, D), headered or not, sampled on a uniform grid.
 
-    W is recovered as -(1/2) * cumulative integral of D, so D = -2 W' holds
-    by construction.
+    The drift lives on the grid of its samples.  W is recovered as
+    -(1/2) * cumulative integral of D, so D = -2 W' holds by construction.
     """
-    rows = np.genfromtxt(path, delimiter=",")
-    if rows.ndim == 1:
-        rows = rows.reshape(-1, 2) if rows.size % 2 == 0 else rows
-    if rows.ndim != 2 or rows.shape[1] != 2:
+    columns = read_csv_columns(path)
+    if len(columns) != 2:
         raise ValueError(f"{path}: expected two columns (x, D)")
-    if rows.shape[0] > 0 and np.isnan(rows[0]).all():
-        rows = rows[1:]  # header line
-    if not np.all(np.isfinite(rows)):
-        raise ValueError(f"{path}: non-finite entries in drift samples")
-    x, d = rows[:, 0], rows[:, 1]
+    x, d = columns.values()
     if len(x) < 3:
         raise ValueError(f"{path}: need at least 3 samples")
     h = np.diff(x)

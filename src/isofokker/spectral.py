@@ -18,6 +18,7 @@ from scipy.linalg.lapack import dstebz, dstein
 from .grid import (
     Grid1D,
     GridFunction,
+    _below_floor,
     derivative,
     fill_masked,
     interior_sign_changes,
@@ -216,7 +217,7 @@ def _rayleigh(op: SchrodingerOperator, vectors: np.ndarray) -> np.ndarray:
 
 
 def _eigenpairs(op: SchrodingerOperator, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest kmax+1 eigenvalues and unit interior eigenvectors, before the zero-mode snap."""
+    """Lowest kmax+1 eigenvalues and unit interior eigenvectors, before the zero-mode shift."""
     levels, iblock, isplit = _bisect(op, kmax + 2, ISOLATION_TOL)
     if np.min(np.diff(levels)) < CLUSTER_GAP:
         levels, iblock, isplit = _bisect(op, kmax + 1, 0.0)
@@ -240,12 +241,14 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
     Rayleigh quotients v^T T v.  States are embedded with Dirichlet zeros,
     Simpson-normalized and sign-fixed.
 
-    A ground energy within discretization error of zero is snapped to zero:
-    the factorized operator of a conservative process is non-negative with
-    the stationary state as exact zero mode, and the second-order stencil
-    otherwise leaks an O(h^2) offset into every temporal factor.  The
-    energies returned, after the snap, must be strictly increasing; levels
-    the grid cannot resolve raise RuntimeError.
+    A ground energy e_0 within discretization error of zero is the zero
+    mode: the factorized operator of a conservative process is non-negative
+    with the stationary state as exact zero mode, and the second-order
+    stencil otherwise leaks an O(h^2) offset into every temporal factor.
+    Then e_0 is subtracted from every level, which puts the ground level at
+    0 and keeps each gap, a tunnelling split smaller than |e_0| included.
+    The energies returned must be strictly increasing; levels the grid
+    cannot resolve raise RuntimeError.
     """
     n = op.grid.n_points
     if kmax < 0:
@@ -254,7 +257,7 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
         raise ValueError(f"kmax={kmax} too large for {n} nodes (need kmax+1 < n/4)")
     energies, vectors = _eigenpairs(op, kmax)
     if abs(energies[0]) <= ZERO_MODE_SNAP:
-        energies[0] = 0.0
+        energies -= energies[0]
     if np.any(np.diff(energies) <= 0):
         raise RuntimeError("eigenvalues not strictly increasing; resolution too coarse")
     full = np.zeros((kmax + 1, n))
@@ -270,10 +273,8 @@ def ground_state_to_drift(phi0: GridFunction) -> DriftSpec:
     """
     if interior_sign_changes(phi0) > 0:
         raise ValueError("ground state has interior zeros; not a valid stationary state")
-    ld = log_derivative(phi0)
-    D = 2.0 * ld
-    absv = np.abs(phi0.values)
-    floor_mask = ~phi0.unmasked() | (absv < 1e-12 * np.max(absv))
-    safe = np.where(floor_mask, 1.0, absv)
+    D = 2.0 * log_derivative(phi0)
+    floor_mask = ~phi0.unmasked() | _below_floor(phi0.values)
+    safe = np.where(floor_mask, 1.0, np.abs(phi0.values))
     W = GridFunction(phi0.grid, np.where(floor_mask, 0.0, -np.log(safe)), floor_mask)
     return DriftSpec(W=W, D=D)

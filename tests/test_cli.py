@@ -8,7 +8,11 @@ import pytest
 
 import isofokker.cli as cli
 from isofokker.cli import VERIFY_CHECKS, UsageError, _initial_condition, main
-from isofokker.grid import integrate, make_grid, read_csv_columns
+from isofokker.grid import (
+    GridFunction, cumulative_integral, derivative, integrate, make_grid, read_csv_columns,
+)
+from isofokker.scenarios import schwarzschild_potential
+from isofokker.spectral import build_hamiltonian, solve_spectrum
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,16 +50,49 @@ class TestSpectrumCommand:
         assert "unknown scenario" in err
 
     def test_unresolved_levels_exit_one(self, capsys, tmp_path):
-        # the symmetric double well D = -0.8 x (x^2 - 9) has tunnelling pairs
-        # that 2001 nodes cannot split: the eigensolver raises RuntimeError
+        # the symmetric double well D = -1.6 x (x^2 - 9) has tunnelling pairs
+        # that coincide at full precision on 2001 nodes: the eigensolver
+        # raises RuntimeError
         drift = tmp_path / "drift.csv"
         xs = np.linspace(-12.0, 12.0, 2001)
-        np.savetxt(drift, np.column_stack([xs, -0.8 * xs * (xs**2 - 9.0)]), delimiter=",")
+        np.savetxt(drift, np.column_stack([xs, -1.6 * xs * (xs**2 - 9.0)]), delimiter=",")
         rc, _, err = run_cli(
             capsys, "spectrum", "--scenario", f"csv:{drift}", "--kmax", "3", "--out", str(tmp_path)
         )
         assert rc == 1
         assert err.startswith("error:") and "resolution too coarse" in err
+
+
+class TestCsvScenario:
+    """A csv: drift runs on the grid of its file."""
+
+    @staticmethod
+    def ou_file(tmp_path, n: int):
+        path = tmp_path / f"ou{n}.csv"
+        x = np.linspace(-10.0, 10.0, n)
+        np.savetxt(path, np.column_stack([x, -x]), delimiter=",", header="x,D", comments="")
+        return path
+
+    @pytest.mark.parametrize("n", [2001, 1001])
+    def test_evolves_on_the_file_grid(self, capsys, tmp_path, n):
+        drift = self.ou_file(tmp_path, n)
+        rc, out, _ = run_cli(
+            capsys, "evolve", "--scenario", f"csv:{drift}", "--ic", "gaussian:2,0.5", "--times", "1",
+            "--out", str(tmp_path),
+        )
+        assert rc == 0
+        assert json.loads(out)["moments"][0]["mean"] == pytest.approx(2.0 / math.e, abs=1e-4)
+        x = read_csv_columns(tmp_path / "evolution.csv")["x"]
+        assert len(x) == n and (x[0], x[-1]) == (-10.0, 10.0)
+
+    def test_grid_flag_exits_one(self, capsys, tmp_path):
+        drift = self.ou_file(tmp_path, 2001)
+        rc, _, err = run_cli(
+            capsys, "spectrum", "--scenario", f"csv:{drift}", "--grid=-10:10:2001", "--out", str(tmp_path)
+        )
+        assert rc == 1
+        assert err.startswith("error:") and "--grid" in err
+        assert not (tmp_path / "spectrum.json").exists()
 
 
 class TestDeformCommand:
@@ -244,6 +281,27 @@ class TestBlackholeCommand:
         assert rc == 0
         cols = read_csv_columns(tmp_path / "blackhole.csv")
         assert "U_deformed" in cols and "D_deformed" in cols
+
+    def test_deformed_columns_follow_closed_form(self, capsys, tmp_path):
+        # one parameter: D^ = D + 2 (ln|phi^_0/phi_0|)' = D - 2 phi_0^2 / (I_0 + lambda)
+        # with I_0 = int_{r_min}^r phi_0^2, bounded up to the Dirichlet walls,
+        # where only the ratio's stencil footprint (three nodes a side) is
+        # masked and written as 0
+        rc, _, _ = run_cli(capsys, "blackhole", "--lambda", "2.0", "--kmax", "5", "--out", str(tmp_path))
+        assert rc == 0
+        cols = read_csv_columns(tmp_path / "blackhole.csv")
+        grid = make_grid(0.1, 3.0, 581)
+        _, drift = schwarzschild_potential(1.0 / (4.0 * math.pi), grid)
+        phi0 = solve_spectrum(build_hamiltonian(drift.W), 5).state(0)
+        closed = drift.D - 2.0 * phi0 * phi0 * (1.0 / (cumulative_integral(phi0 * phi0) + 2.0))
+        inner = slice(3, -3)
+        assert np.all(cols["D_deformed"][[0, 1, 2, -3, -2, -1]] == 0.0)
+        assert np.max(np.abs(cols["D_deformed"][inner] - closed.values[inner])) <= 1e-8
+        # U^ = U - 2 ln|phi^_0/phi_0| stays within O(1) of U next to the walls
+        assert np.ptp((cols["U_deformed"] - cols["U"])[1:-1]) < 1.0
+        # D = -U' holds for the deformed pair as for the original one
+        slope = derivative(GridFunction(grid, cols["U_deformed"])).values
+        assert np.max(np.abs(slope + cols["D_deformed"])[5:-5]) <= 1e-8
 
 
 class TestDarbouxCommand:

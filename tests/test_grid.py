@@ -265,6 +265,16 @@ class TestGridFunction:
         keep = out.unmasked()
         assert np.array_equal(out.values[keep], 1.0 / g.x[keep])
 
+    def test_divide_across_grids_rejected(self):
+        # equal node counts on different domains: the arithmetic operators
+        # refuse these operands, and so does divide
+        num = sample(make_grid(-12.0, 12.0, 101), np.exp)
+        den = sample(make_grid(-10.0, 10.0, 101), lambda x: 1.0 + x**2)
+        with pytest.raises(ValueError, match="different grids"):
+            divide(num, den)
+        with pytest.raises(ValueError, match="different grids"):
+            num / den
+
     def test_sign_changes(self):
         g = make_grid(-1.0, 1.0, 201)
         assert interior_sign_changes(sample(g, lambda x: x)) == 1
@@ -282,6 +292,20 @@ class TestCsv:
         assert set(cols) == {"x", "f"}
         assert np.array_equal(cols["x"], g.x)  # 17 significant digits round-trip exactly
         assert np.array_equal(cols["f"], f.values)
+
+    def test_headerless_columns_are_numbered(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("0.5,1.5,2.5\n")
+        cols = read_csv_columns(path)
+        assert list(cols) == ["col0", "col1", "col2"]
+        assert [c.tolist() for c in cols.values()] == [[0.5], [1.5], [2.5]]
+
+    @pytest.mark.parametrize("text", ["x,P\n0,1\n1,nan\n", "0,1\n1,inf\n", "x,P\n0,1\n1,abc\n"])
+    def test_non_finite_entry_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_csv_columns(path)
 
     def test_sup_norm_window(self):
         g = make_grid(-2.0, 2.0, 401)

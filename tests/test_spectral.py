@@ -15,7 +15,7 @@ from isofokker.grid import (
     sample,
     sup_diff,
 )
-from isofokker.scenarios import box_scenario, custom_drift, ou_scenario, schwarzschild_potential
+from isofokker.scenarios import box_scenario, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
     DriftSpec,
     _unit_rows,
@@ -56,16 +56,15 @@ class TestBuildHamiltonian:
 
     def test_nontrivial_prepotential_symbolic_spot_check(self):
         # V = W'^2 - W'' for W = x^2/4 - ln cosh x, checked at spot nodes
-        # against symbolic differentiation
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
-        Wsym = x**2 / 4 - sympy.log(sympy.cosh(x))
-        Vsym = sympy.lambdify(x, sympy.diff(Wsym, x) ** 2 - sympy.diff(Wsym, x, 2))
+        # against its closed form: W' = x/2 - tanh x, W'' = tanh^2 x - 1/2
+        def V(x):
+            return (x / 2.0 - np.tanh(x)) ** 2 - np.tanh(x) ** 2 + 0.5
+
         g = make_grid(-10.0, 10.0, 2001)
         op = build_hamiltonian(sample(g, lambda v: v**2 / 4.0 - np.log(np.cosh(v))))
         for xi in (-3.7, -1.0, 0.0, 0.012, 2.5, 8.1):
             i = int(round((xi - g.c1) / g.h))
-            assert op.V.values[i] == pytest.approx(float(Vsym(g.x[i])), abs=1e-6)
+            assert op.V.values[i] == pytest.approx(float(V(g.x[i])), abs=1e-6)
 
 
 class TestSolveSpectrum:
@@ -136,18 +135,20 @@ class TestSolveSpectrum:
         with pytest.raises(ValueError, match="kmax"):
             solve_spectrum(op, ou_grid.n_points // 4)
 
-    def test_ordering_checked_after_zero_mode_snap(self, tmp_path):
-        # D = -0.8 x (x^2 - 9): the tunnelling split (~3e-7) is below the
-        # stencil's O(h^2) ground offset (~ -4.7e-4), so the snapped ground
-        # level 0 lies above level 1
-        x = np.linspace(-12.0, 12.0, 2001)
-        path = tmp_path / "drift.csv"
-        np.savetxt(path, np.column_stack([x, -0.8 * x * (x**2 - 9.0)]), delimiter=",")
-        op = build_hamiltonian(custom_drift(path).W)
-        raw, _ = spectral._eigenpairs(op, 3)
+    @pytest.mark.parametrize("a", [0.06, 0.07, 0.08, 0.1])
+    def test_zero_mode_shift_resolves_tunnelling_split(self, a):
+        # W = a (x^2 - 9)^2: on 2001 nodes the tunnelling split is resolved
+        # but level 1 sits below zero, inside the stencil's O(h^2) ground
+        # offset; shifting every level by e_0 keeps the split, which 4001
+        # nodes confirm
+        def op(n):
+            return build_hamiltonian(sample(make_grid(-12.0, 12.0, n), lambda x: a * (x**2 - 9.0) ** 2))
+
+        raw, _ = spectral._eigenpairs(op(2001), 3)
         assert -1e-3 < raw[0] < raw[1] < 0.0
-        with pytest.raises(RuntimeError, match="resolution too coarse"):
-            solve_spectrum(op, 3)
+        coarse = solve_spectrum(op(2001), 3).energies
+        assert np.array_equal(coarse, raw - raw[0])
+        assert coarse[1] == pytest.approx(solve_spectrum(op(4001), 3).energies[1], rel=1e-3)
 
     @pytest.mark.parametrize("a, b", [(0.1, 3.5), (0.2, 4.0)])
     def test_inseparable_wells_rejected(self, ou_grid, a, b):
