@@ -27,7 +27,7 @@ from .isospectral import IsoParams, iso_pdf, reinstate
 from .mittag import mittag_leffler, ml_relaxation
 from .oracle import CnConfig, cn_evolve, gl_residual
 from .scenarios import box_scenario, custom_drift, ou_scenario, schwarzschild_potential
-from .spectral import build_hamiltonian, ground_state_to_drift, solve_spectrum
+from .spectral import DriftSpec, build_hamiltonian, ground_state_to_drift, solve_spectrum
 
 SCHEMA_VERSION = 1
 
@@ -96,29 +96,51 @@ def _max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-# Grid of each built-in scenario when --grid is not given.
-_DEFAULT_GRIDS = {"ou": (-12.0, 12.0, 2001), "box": (0.0, 1.0, 2001), "schwarzschild": (0.1, 3.0, 581)}
+class Scenario(NamedTuple):
+    """A built-in --scenario: its default grid, the one parameter it reads (or None) and its drift."""
+
+    grid: tuple[float, float, int]
+    param: str | None
+    default: float | None
+    drift: Callable[..., DriftSpec]  # (grid, cfg) -> drift
 
 
-def _scenario_drift(cfg: dict[str, object]):
-    """The drift of --scenario on the run's one grid: a csv: file's own, else --grid or the default."""
+_HAWKING_T = 1.0 / (4.0 * math.pi)  # T_h = 1/(4 pi r_h) at r_h = 1
+_SCENARIOS = {
+    "ou": Scenario((-12.0, 12.0, 2001), "gamma", 1.0, lambda grid, cfg: ou_scenario(grid, cfg["gamma"])),
+    "box": Scenario((0.0, 1.0, 2001), None, None, lambda grid, cfg: box_scenario(grid)),
+    "schwarzschild": Scenario(
+        (0.1, 3.0, 581), "temperature", _HAWKING_T,
+        lambda grid, cfg: schwarzschild_potential(cfg["temperature"], grid)[1],
+    ),
+}
+
+
+def _scenario_drift(cfg: dict[str, object]) -> DriftSpec:
+    """The drift of --scenario on the run's one grid: a csv: file's own, else --grid or the default.
+
+    A scenario parameter the scenario does not read is refused (csv: reads
+    none); the one it reads is set in ``cfg`` to the value used, for the report.
+    """
     name = cfg["scenario"]
-    if name.startswith("csv:"):
+    csv = name.startswith("csv:")
+    if not (csv or name in _SCENARIOS):
+        raise UsageError(f"unknown scenario {name!r} (expected ou, box, schwarzschild, or csv:PATH)")
+    scenario = None if csv else _SCENARIOS[name]
+    for key in ("gamma", "temperature"):
+        if scenario is not None and key == scenario.param:
+            cfg[key] = scenario.default if cfg[key] is None else cfg[key]
+        elif cfg[key] is not None:
+            raise UsageError(f"--{key} does not apply to scenario {name!r}")
+    if csv:
         if cfg["grid"] is not None:
             raise UsageError("--grid does not apply to a csv: scenario, whose grid is its file's")
         try:
             return custom_drift(name[4:])
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load drift from {name[4:]}: {exc}") from exc
-    if name not in _DEFAULT_GRIDS:
-        raise UsageError(f"unknown scenario {name!r} (expected ou, box, schwarzschild, or csv:PATH)")
-    grid = make_grid(*(_DEFAULT_GRIDS[name] if cfg["grid"] is None else _parse_grid(cfg["grid"])))
-    if name == "ou":
-        return ou_scenario(grid, gamma=cfg["gamma"])
-    if name == "box":
-        return box_scenario(grid)
-    _, drift = schwarzschild_potential(cfg["temperature"], grid)
-    return drift
+    grid = make_grid(*(scenario.grid if cfg["grid"] is None else _parse_grid(cfg["grid"])))
+    return scenario.drift(grid, cfg)
 
 
 def _out_path(cfg, name: str) -> str:
@@ -141,8 +163,7 @@ def _emit(cfg, **fields) -> None:
 
 
 def _spectrum_pipeline(cfg):
-    drift = _scenario_drift(cfg)
-    return drift.grid, solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
+    return solve_spectrum(build_hamiltonian(_scenario_drift(cfg).W), cfg["kmax"])
 
 
 def _reinstated(spectrum, lambdas_text: str, levels_above: int):
@@ -161,7 +182,7 @@ def _reinstated(spectrum, lambdas_text: str, levels_above: int):
 
 
 def cmd_spectrum(cfg) -> int:
-    _, spectrum = _spectrum_pipeline(cfg)
+    spectrum = _spectrum_pipeline(cfg)
     write_csv(
         _out_path(cfg, "eigenfunctions.csv"),
         {f"phi{k}": spectrum.state(k) for k in range(spectrum.kmax + 1)},
@@ -178,7 +199,7 @@ def cmd_darboux(cfg) -> int:
             f"beyond 4 steps (got {steps})",
             file=sys.stderr,
         )
-    _, spectrum = _spectrum_pipeline(cfg)
+    spectrum = _spectrum_pipeline(cfg)
     if steps >= spectrum.kmax:
         raise UsageError(f"steps={steps} needs kmax > steps (got kmax={spectrum.kmax})")
     chain = build_chain(spectrum, steps)
@@ -195,7 +216,7 @@ def cmd_darboux(cfg) -> int:
 def cmd_deform(cfg) -> int:
     if cfg["lambdas"] is None:
         raise UsageError("deform requires --lambda")
-    _, spectrum = _spectrum_pipeline(cfg)
+    spectrum = _spectrum_pipeline(cfg)
     # the check below compares levels 0..kmax-2, which with kmax >= n + 2
     # include level n, the first one carried through the chain
     deformation = _reinstated(spectrum, cfg["lambdas"], 2)
@@ -258,15 +279,9 @@ def cmd_evolve(cfg) -> int:
     times = _parse_floats(cfg["times"])
     if not times or any(t < 0 for t in times):
         raise UsageError("--times needs non-negative values")
-    grid, spectrum = _spectrum_pipeline(cfg)
-    if cfg["alpha"] is None:
-        rule = TemporalRule.classical()
-    else:
-        alpha = cfg["alpha"]
-        if not 0.0 < alpha < 1.0:
-            raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
-        rule = TemporalRule.fractional(alpha)
-    P0 = _initial_condition(cfg, grid)
+    rule = TemporalRule(alpha=cfg["alpha"])  # classical when alpha is None
+    spectrum = _spectrum_pipeline(cfg)
+    P0 = _initial_condition(cfg, spectrum.grid)
     coeffs = project(P0, spectrum)
     sol = FpeSolution(spectrum, coeffs, rule)
     columns = {}
@@ -363,7 +378,7 @@ def _cn_gap(drift, p0, p1) -> float:
 def _schwarzschild_reconstruction(ctx) -> float:
     """Cumulative (T_H - T) dS from the inner edge against U, at T = 1/(4 pi)."""
     rgrid = make_grid(0.1, 3.0, 581)
-    T = 1.0 / (4.0 * math.pi)
+    T = _HAWKING_T
     thermal, _ = schwarzschild_potential(T, rgrid)
     integrand = sample(rgrid, lambda r: (1.0 / (4.0 * math.pi * r) - T) * 2.0 * math.pi * r)
     return sup_diff(cumulative_integral(integrand) + float(thermal.U.values[0]), thermal.U)
@@ -430,14 +445,13 @@ def cmd_verify(cfg) -> int:
 
 _OUT = Flag("--out", "out", str, None, "output directory (default $ISOFOKKER_OUT or .)")
 _KMAX = Flag("--kmax", "kmax", int, 8, "number of solved levels minus one")
-_TEMPERATURE = Flag("--temperature", "temperature", float, 1.0 / (4.0 * math.pi), "ensemble temperature")
-# what _spectrum_pipeline reads
+# what _spectrum_pipeline reads; a scenario parameter left unset takes its scenario's default
 _SCENARIO = (
     Flag("--scenario", "scenario", str, "ou", "ou | box | schwarzschild | csv:PATH"),
     Flag("--grid", "grid", str, None, "c1:c2:n_points, e.g. -12:12:2001"),
     _KMAX,
-    Flag("--gamma", "gamma", float, 1.0, "OU stiffness"),
-    _TEMPERATURE,
+    Flag("--gamma", "gamma", float, None, "OU stiffness (ou only)"),
+    Flag("--temperature", "temperature", float, None, "ensemble temperature (schwarzschild only)"),
     _OUT,
 )
 
@@ -472,7 +486,7 @@ COMMANDS = {
         cmd_blackhole,
         (
             _KMAX,
-            _TEMPERATURE,
+            Flag("--temperature", "temperature", float, _HAWKING_T, "ensemble temperature"),
             _OUT,
             Flag("--rmin", "rmin", float, 0.1, "inner horizon radius"),
             Flag("--rmax", "rmax", float, 3.0, "outer horizon radius"),

@@ -44,8 +44,11 @@ class DarbouxChain:
     """
 
     base: Spectrum
-    n_steps: int
     stage_states: tuple[Basis, ...]
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.stage_states) - 1
 
     def state(self, s: int, k: int) -> GridFunction:
         """phi_k at stage s (k is the absolute level index, k >= s)."""
@@ -81,7 +84,7 @@ def darboux_step(chain: DarbouxChain) -> DarbouxChain:
     rows = _stencil(above, stage.grid.h) - kernel.values * above
     energies = chain.base.energies[s + 1 :] - chain.base.energies[s + 1]
     new = Basis(stage.grid, energies, _unit_rows(stage.grid, rows, kernel.mask), kernel.mask)
-    return DarbouxChain(base=chain.base, n_steps=s + 1, stage_states=chain.stage_states + (new,))
+    return DarbouxChain(base=chain.base, stage_states=chain.stage_states + (new,))
 
 
 def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
@@ -91,7 +94,7 @@ def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
     if n_steps > base.kmax:
         raise ValueError(f"cannot delete {n_steps} levels with kmax={base.kmax}")
     stage0 = Basis(base.grid, base.energies - base.energies[0], base.values, base.mask)
-    chain = DarbouxChain(base=base, n_steps=0, stage_states=(stage0,))
+    chain = DarbouxChain(base=base, stage_states=(stage0,))
     for _ in range(n_steps):
         chain = darboux_step(chain)
     return chain
@@ -161,8 +164,6 @@ def partner_drift(chain: DarbouxChain, stage: int | None = None) -> DriftSpec:
     states are node-free by construction; nodes here signal a construction
     bug and are rejected.
     """
-    if chain.n_steps < 1:
-        raise ValueError("chain has no completed Darboux steps")
     s = chain.n_steps if stage is None else stage
     if not 1 <= s <= chain.n_steps:
         raise ValueError(f"stage {s} outside 1..{chain.n_steps}")

@@ -22,45 +22,39 @@ from .spectral import Basis, Spectrum
 __all__ = ["TemporalRule", "FpeSolution", "project", "evolve_pdf", "moments", "truncation_residual"]
 
 
-def _exponential(eps, t):
-    """e^{-eps t}; a non-finite or negative t is rejected (0 * inf would give NaN)."""
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and non-negative, got {t}")
-    return np.exp(-eps * t)
-
-
 @dataclass(frozen=True)
 class TemporalRule:
-    """Temporal factor rule: classical exponential or Mittag-Leffler with 0 < alpha < 1."""
+    """Temporal factor rule: exponential when ``alpha`` is None (classical), else Mittag-Leffler, 0 < alpha < 1."""
 
-    kind: str
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("classical", "fractional"):
-            raise ValueError(f"unknown temporal rule {self.kind!r}")
-        if self.kind == "classical":
-            if self.alpha is not None:
-                raise ValueError("classical rule takes no alpha")
-        elif self.alpha is None or not 0.0 < self.alpha < 1.0:
+        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"fractional rule needs alpha in (0, 1), got {self.alpha}")
 
     @classmethod
     def classical(cls) -> "TemporalRule":
-        return cls(kind="classical")
+        return cls()
 
     @classmethod
     def fractional(cls, alpha: float) -> "TemporalRule":
-        return cls(kind="fractional", alpha=alpha)
+        return cls(float(alpha))  # None raises here instead of meaning classical
 
     def factors(self, energies, t: float) -> np.ndarray:
-        """Factor e^{-eps t} or E_alpha(-eps t^alpha) at time t for every rate eps in ``energies``."""
+        """Factor e^{-eps t} or E_alpha(-eps t^alpha) at time t for every rate eps in ``energies``.
+
+        A rate below -1e-8 raises; one in [-1e-8, 0) is a numerical zero mode and snaps to 0.
+        """
         eps = np.asarray(energies, dtype=float)
-        if self.kind == "classical":
-            return _exponential(eps, t)
-        if np.any(eps < -1e-8):
-            raise ValueError(f"negative relaxation rate {eps.min()}")
-        return ml_relaxation(self.alpha, np.maximum(eps, 0.0), t)  # snaps numerical zero modes
+        if eps.size and eps.min() < 0.0:
+            if eps.min() < -1e-8:
+                raise ValueError(f"negative relaxation rate {eps.min()}")
+            eps = np.maximum(eps, 0.0)
+        if self.alpha is not None:
+            return ml_relaxation(self.alpha, eps, t)
+        if not (np.isfinite(t) and t >= 0.0):  # 0 * inf would give NaN
+            raise ValueError(f"time must be finite and non-negative, got {t}")
+        return np.exp(-eps * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +117,7 @@ def _expansion(basis: Basis, coeffs, t: float, temporal: TemporalRule | None, no
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) > len(basis):
         raise ValueError(f"got {len(coeffs)} coefficients for {len(basis)} states")
-    rule = TemporalRule.classical() if temporal is None else temporal
-    factors = rule.factors(basis.energies[: len(coeffs)], t)
+    factors = (temporal or TemporalRule()).factors(basis.energies[: len(coeffs)], t)
     values = basis.values[0] * ((coeffs * factors) @ basis.values[: len(coeffs)])
     if normalize:
         mass = float(simpson_weights(basis.grid) @ values)

@@ -34,6 +34,8 @@ __all__ = [
 
 # Relative threshold below which |f| is considered too small to divide by.
 DEFAULT_FLOOR_FRACTION = 1e-12
+# Relative amplitude below which interior_sign_changes does not count a sign change.
+SIGN_FLOOR_FRACTION = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,13 +337,13 @@ def interior_hole_fraction(bad: np.ndarray) -> float:
     return holes / max(len(bad) - 2, 1)
 
 
-def interior_sign_changes(f: GridFunction, rel_floor: float = 1e-6) -> int:
-    """Count sign changes of f across reliable nodes with |f| above rel_floor * max|f|.
+def interior_sign_changes(f: GridFunction) -> int:
+    """Count sign changes of f across reliable nodes with |f| above SIGN_FLOOR_FRACTION * max|f|.
 
     Tiny-amplitude wiggle (round-off around genuine zeros or in decaying
     tails) does not count as a node.
     """
-    keep = f.unmasked() & (np.abs(f.values) > rel_floor * np.max(np.abs(f.values)))
+    keep = f.unmasked() & (np.abs(f.values) > SIGN_FLOOR_FRACTION * np.max(np.abs(f.values)))
     signs = np.sign(f.values[keep])
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 

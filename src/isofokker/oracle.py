@@ -20,7 +20,8 @@ from .spectral import DriftSpec
 
 __all__ = ["CnConfig", "cn_evolve", "gl_residual"]
 
-BOUNDARIES = ("zero-flux", "dirichlet-zero")
+# gl_residual measures on (BURN_FRACTION * t_end, t_end], past the startup layer
+BURN_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -28,20 +29,18 @@ class CnConfig:
     """Crank-Nicolson run parameters.
 
     dt must not exceed the grid spacing: the scheme is unconditionally
-    stable but its accuracy target assumes dt <= h.
+    stable but its accuracy target assumes dt <= h.  The walls are
+    reflecting (zero-flux).
     """
 
     dt: float
     t_end: float
-    boundary: str = "zero-flux"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be non-negative")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 
 
 def _flux_operator(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,9 +70,9 @@ def _flux_operator(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def cn_evolve(drift: DriftSpec, P0: GridFunction, cfg: CnConfig) -> GridFunction:
     """Integrate the drift-diffusion equation directly to t_end.
 
-    Crank-Nicolson on the conservative flux form; under the default
-    reflecting (zero-flux) boundary the discrete mass is conserved to
-    round-off and monitored every step.
+    Crank-Nicolson on the conservative flux form; under the reflecting
+    (zero-flux) walls the discrete mass is conserved to round-off and
+    monitored every step.
     """
     grid = drift.grid
     n = grid.n_points
@@ -88,11 +87,6 @@ def cn_evolve(drift: DriftSpec, P0: GridFunction, cfg: CnConfig) -> GridFunction
         raise ValueError("t_end must be an integer multiple of dt")
 
     lower, diag, upper = _flux_operator(drift)
-    dirichlet = cfg.boundary == "dirichlet-zero"
-    if dirichlet:
-        diag[0] = diag[-1] = 0.0
-        upper[0] = lower[-1] = 0.0
-
     half = 0.5 * cfg.dt
     # LU of the tridiagonal I - (dt/2) L, factored once for every step
     dl, d, du, du2, ipiv, info = dgttrf(-half * lower[1:], 1.0 - half * diag, -half * upper[:-1])
@@ -103,8 +97,6 @@ def cn_evolve(drift: DriftSpec, P0: GridFunction, cfg: CnConfig) -> GridFunction
     trapz[0] = trapz[-1] = 0.5 * h
 
     p = P0.values.copy()
-    if dirichlet:
-        p[0] = p[-1] = 0.0
     tmass0 = float(trapz @ p)
     for _ in range(steps):
         rhs = p + half * (diag * p)
@@ -113,7 +105,7 @@ def cn_evolve(drift: DriftSpec, P0: GridFunction, cfg: CnConfig) -> GridFunction
         p, info = dgttrs(dl, d, du, du2, ipiv, rhs)
         if info != 0:  # pragma: no cover - only for malformed arguments
             raise RuntimeError(f"Crank-Nicolson linear solve failed: LAPACK dgttrs info {info}")
-        if not dirichlet and abs(float(trapz @ p) - tmass0) > 1e-6:
+        if abs(float(trapz @ p) - tmass0) > 1e-6:
             raise RuntimeError(
                 "mass drifted by more than 1e-6 under zero-flux boundaries; "
                 "discretization bug or incompatible drift"
@@ -130,15 +122,13 @@ def _gl_weights(mu: float, m: int) -> np.ndarray:
     return w
 
 
-def gl_residual(
-    alpha: float, eps: float, dt: float, t_end: float, burn_fraction: float = 0.1
-) -> float:
+def gl_residual(alpha: float, eps: float, dt: float, t_end: float) -> float:
     """Max residual of the discrete fractional temporal equation on the ML solution.
 
     Samples T(t) = E_alpha(-eps t^alpha) on the dt-grid, differences the left
     side first-order and discretizes the fractional derivative of order
     1-alpha with Grunwald-Letnikov weights.  The residual is measured on
-    (burn_fraction * t_end, t_end]: the first few nodes sit in a startup
+    (BURN_FRACTION * t_end, t_end]: the first few nodes sit in a startup
     layer where T' itself is unbounded (T ~ 1 - c t^alpha), so the pointwise
     residual there does not shrink with dt.  Away from it the residual is
     O(dt).
@@ -155,5 +145,5 @@ def gl_residual(
     frac = np.convolve(w, T)[: m + 1] * dt ** (-mu)
     lhs = (T[1:] - T[:-1]) / dt
     residual = lhs + eps * frac[1:]
-    keep = ts[1:] > burn_fraction * t_end
+    keep = ts[1:] > BURN_FRACTION * t_end
     return float(np.max(np.abs(residual[keep])))

@@ -95,6 +95,56 @@ class TestCsvScenario:
         assert not (tmp_path / "spectrum.json").exists()
 
 
+class TestScenarioParameter:
+    """A scenario reads at most one of --gamma (ou) and --temperature (schwarzschild)."""
+
+    @staticmethod
+    def scenario_value(tmp_path, scenario: str) -> str:
+        return f"csv:{TestCsvScenario.ou_file(tmp_path, 2001)}" if scenario == "csv" else scenario
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [("box", "gamma"), ("ou", "temperature"), ("schwarzschild", "gamma"), ("csv", "gamma"), ("csv", "temperature")],
+    )
+    @pytest.mark.parametrize("command", ["spectrum", "darboux", "deform", "evolve"])
+    def test_parameter_the_scenario_does_not_read_exits_one(self, capsys, tmp_path, command, scenario, key, given):
+        argv = [command, "--scenario", self.scenario_value(tmp_path, scenario), "--kmax", "4"]
+        if command == "deform":
+            argv += ["--lambda", "0.5"]
+        if given == "flag":
+            argv += [f"--{key}", "0.1"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = 0.1\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        rc, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert err.startswith("error:") and f"--{key}" in err and scenario in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (("spectrum", "--scenario", "ou", "--gamma", "2"), "gamma", 2.0),
+            (("spectrum", "--scenario", "ou"), "gamma", 1.0),
+            (("spectrum", "--scenario", "schwarzschild", "--temperature", "0.05"), "temperature", 0.05),
+            (("spectrum", "--scenario", "schwarzschild"), "temperature", 1.0 / (4.0 * math.pi)),
+            (("spectrum", "--scenario", "box"), None, None),
+            (("spectrum", "--scenario", "csv"), None, None),
+            (("blackhole", "--temperature", "0.06"), "temperature", 0.06),
+        ],
+        ids=["ou-gamma", "ou-default", "schwarzschild-temperature", "schwarzschild-default", "box", "csv", "blackhole"],
+    )
+    def test_report_lists_the_parameter_read(self, capsys, tmp_path, argv, key, value):
+        argv = [self.scenario_value(tmp_path, a) for a in argv]
+        rc, out, err = run_cli(capsys, *argv, "--kmax", "3", "--out", str(tmp_path))
+        assert rc == 0, err
+        config = json.loads(out)["config"]
+        assert {"gamma", "temperature"} & set(config) == ({key} if key else set())
+        if key:
+            assert config[key] == value
+
+
 class TestDeformCommand:
     def test_isospectrality_report(self, capsys, tmp_path):
         rc, out, _ = run_cli(
@@ -223,6 +273,16 @@ class TestEvolveCommand:
         rc, _, err = run_cli(capsys, "evolve", "--alpha", "0.5", "--out", str(tmp_path))
         assert rc == 1
         assert err.startswith("error:") and "differ" in err
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan"])
+    def test_alpha_outside_range_fails_before_the_solve(self, capsys, tmp_path, monkeypatch, alpha):
+        def solve_spectrum(*args, **kwargs):
+            raise AssertionError("solved before checking alpha")
+
+        monkeypatch.setattr(cli, "solve_spectrum", solve_spectrum)
+        rc, _, err = run_cli(capsys, "evolve", "--alpha", alpha, "--out", str(tmp_path))
+        assert rc == 1
+        assert err.startswith("error:") and "alpha" in err
 
     def test_bad_ic_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "evolve", "--ic", "circle:1", "--out", str(tmp_path))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import align_sign, crum_reference
-from isofokker.darboux import build_chain, crum_states, darboux_step, partner_drift, partner_pdf
+from isofokker.darboux import DarbouxChain, build_chain, crum_states, darboux_step, partner_drift, partner_pdf
 from isofokker.grid import (
     derivative,
     integrate,
@@ -65,6 +65,17 @@ class TestDarbouxStep:
             build_chain(ou_spectrum, 0)
         with pytest.raises(ValueError):
             build_chain(ou_spectrum, 8)
+
+    def test_step_count_is_the_stage_count(self, ou_chain3):
+        # n_steps follows stage_states and cannot be set apart from them
+        assert ou_chain3.n_steps == len(ou_chain3.stage_states) - 1 == 3
+        shorter = DarbouxChain(base=ou_chain3.base, stage_states=ou_chain3.stage_states[:2])
+        assert shorter.n_steps == 1
+        assert np.array_equal(partner_drift(shorter).D.values, partner_drift(ou_chain3, 1).D.values)
+        with pytest.raises(TypeError):
+            DarbouxChain(base=ou_chain3.base, n_steps=3, stage_states=ou_chain3.stage_states[:2])
+        with pytest.raises(ValueError, match="stage"):
+            partner_drift(DarbouxChain(base=ou_chain3.base, stage_states=ou_chain3.stage_states[:1]))
 
 
 _ONE_MASK_PREPOTENTIALS = {

@@ -16,7 +16,7 @@ from isofokker.grid import integrate, make_grid, sample, simpson_weights, sup_di
 from isofokker.isospectral import IsoParams, iso_pdf, reinstate
 from isofokker.mittag import ml_relaxation
 from isofokker.scenarios import ou_transition
-from isofokker.spectral import build_hamiltonian, solve_spectrum
+from isofokker.spectral import Spectrum, build_hamiltonian, solve_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +31,20 @@ def classical_sol(ou_spectrum, gaussian_coeffs):
 
 class TestTemporalRule:
     def test_classical_takes_no_alpha(self):
-        with pytest.raises(ValueError):
-            TemporalRule(kind="classical", alpha=0.5)
+        # the one field: None is the classical rule
+        assert TemporalRule.classical().alpha is None
+        assert TemporalRule() == TemporalRule(alpha=None) == TemporalRule.classical()
+        assert TemporalRule(alpha=0.5) == TemporalRule.fractional(0.5)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.3])
     def test_fractional_alpha_range(self, alpha):
         with pytest.raises(ValueError):
             TemporalRule.fractional(alpha)
+
+    def test_fractional_needs_an_alpha(self):
+        # None is the classical rule's alpha, not a fractional order
+        with pytest.raises(TypeError):
+            TemporalRule.fractional(None)
 
     def test_fractional_factor_value(self):
         # E_{1/2}(-1) through the relaxation rule
@@ -57,7 +64,7 @@ class TestTemporalRule:
     def test_factors_match_per_mode_factor(self, rule):
         energies = np.array([0.0, 0.5, 1.0, 2.0, 7.0, 40.0])
         for t in (0.0, 0.01, 1.0, 25.0):
-            if rule.kind == "classical":
+            if rule.alpha is None:
                 per_mode = [math.exp(-e * t) for e in energies]
             else:
                 per_mode = [ml_relaxation(rule.alpha, float(e), t) for e in energies]
@@ -70,6 +77,18 @@ class TestTemporalRule:
             assert np.all(tau[:3] == 1.0)
         with pytest.raises(ValueError, match="negative relaxation rate"):
             rule.factors([0.0, -2e-8, 1.0], 1.0)
+
+    def test_classical_factors_share_the_rate_check(self):
+        rule = TemporalRule.classical()
+        for t in (0.0, 0.5, 1e2, 1e4):
+            tau = rule.factors([0.0, -5e-9, -1e-12, 1.0], t)
+            assert np.all(tau[:3] == 1.0) and abs(tau[3] - math.exp(-t)) <= 1e-15
+        with pytest.raises(ValueError, match="negative relaxation rate"):
+            rule.factors([0.0, -2e-8, 1.0], 1.0)
+
+    @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.5)])
+    def test_empty_rates(self, rule):
+        assert rule.factors([], 1.0).shape == (0,)
 
     @pytest.mark.parametrize("t", [math.inf, -1.0])
     def test_classical_rejects_bad_time(self, t):
@@ -186,6 +205,15 @@ class TestEvolvePdf:
     def test_negative_time_rejected(self, classical_sol):
         with pytest.raises(ValueError):
             evolve_pdf(classical_sol, -0.1)
+
+    @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.5)])
+    def test_negative_level_rejected(self, ou_spectrum, gaussian_coeffs, rule):
+        # a level far below zero is no numerical zero mode: it would grow, not relax
+        energies = ou_spectrum.energies.copy()
+        energies[1] = -1e-3
+        spectrum = Spectrum(ou_spectrum.grid, energies, ou_spectrum.values, ou_spectrum.mask)
+        with pytest.raises(ValueError, match="negative relaxation rate"):
+            evolve_pdf(FpeSolution(spectrum, gaussian_coeffs, rule), 1.0)
 
     def test_coefficient_count_guard(self, ou_spectrum):
         with pytest.raises(ValueError):

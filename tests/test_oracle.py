@@ -22,8 +22,6 @@ class TestCnConfig:
             CnConfig(dt=-1e-3, t_end=1.0)
         with pytest.raises(ValueError):
             CnConfig(dt=1e-3, t_end=-1.0)
-        with pytest.raises(ValueError):
-            CnConfig(dt=1e-3, t_end=1.0, boundary="periodic")
 
     def test_dt_exceeding_h_rejected(self, ou_drift, ou_grid):
         p = gaussian(ou_grid, 0.0, 1.0)
@@ -65,15 +63,6 @@ class TestCnEvolve:
         ratio = disagreement(1e-2) / disagreement(5e-3)
         assert 3.0 <= ratio <= 5.0
 
-    def test_dirichlet_boundary_loses_mass_slowly(self, ou_drift, ou_grid):
-        # absorbing walls at |x| = 12 see essentially no flux from a centered
-        # gaussian; the run must still complete and stay close to zero-flux
-        p0 = gaussian(ou_grid, 0.0, 1.0)
-        out_zf = cn_evolve(ou_drift, p0, CnConfig(dt=1e-3, t_end=0.5))
-        out_dz = cn_evolve(ou_drift, p0, CnConfig(dt=1e-3, t_end=0.5, boundary="dirichlet-zero"))
-        assert abs(out_dz.values[0]) < 1e-30 and abs(out_dz.values[-1]) < 1e-30
-        assert sup_diff(out_zf, out_dz) < 1e-9
-
     def test_t_end_must_align_with_dt(self, ou_drift, ou_grid):
         p0 = gaussian(ou_grid, 0.0, 1.0)
         with pytest.raises(ValueError, match="multiple"):
@@ -88,10 +77,6 @@ class TestCnEvolve:
 def _cn_reference(drift, P0, cfg):
     """Crank-Nicolson steps with a banded factor-and-solve on every step."""
     lower, diag, upper = _flux_operator(drift)
-    dirichlet = cfg.boundary == "dirichlet-zero"
-    if dirichlet:
-        diag[0] = diag[-1] = 0.0
-        upper[0] = lower[-1] = 0.0
     half = 0.5 * cfg.dt
     n = len(diag)
     ab = np.zeros((3, n))
@@ -99,8 +84,6 @@ def _cn_reference(drift, P0, cfg):
     ab[1, :] = 1.0 - half * diag
     ab[2, :-1] = -half * lower[1:]
     p = P0.values.copy()
-    if dirichlet:
-        p[0] = p[-1] = 0.0
     for _ in range(int(round(cfg.t_end / cfg.dt))):
         rhs = p + half * (diag * p)
         rhs[:-1] += half * upper[:-1] * p[1:]
@@ -110,20 +93,18 @@ def _cn_reference(drift, P0, cfg):
 
 
 class TestCnFactorOnce:
-    @pytest.mark.parametrize("boundary", ["zero-flux", "dirichlet-zero"])
-    def test_ou_matches_per_step_solve(self, ou_drift, gaussian_ic, boundary):
-        cfg = CnConfig(dt=1e-2, t_end=0.3, boundary=boundary)
+    def test_ou_matches_per_step_solve(self, ou_drift, gaussian_ic):
+        cfg = CnConfig(dt=1e-2, t_end=0.3)
         out = cn_evolve(ou_drift, gaussian_ic, cfg)
         assert np.array_equal(out.values, _cn_reference(ou_drift, gaussian_ic, cfg))
 
-    @pytest.mark.parametrize("boundary", ["zero-flux", "dirichlet-zero"])
-    def test_partner_drift_matches_per_step_solve(self, ou_spectrum, gaussian_ic, boundary):
+    def test_partner_drift_matches_per_step_solve(self, ou_spectrum, gaussian_ic):
         # the two-step partner drift carries masked tails
         chain = build_chain(ou_spectrum, 2)
         drift = partner_drift(chain)
         assert drift.D.mask is not None
         P0 = partner_pdf(chain, project(gaussian_ic, ou_spectrum), 0.0)
-        cfg = CnConfig(dt=1e-2, t_end=0.3, boundary=boundary)
+        cfg = CnConfig(dt=1e-2, t_end=0.3)
         out = cn_evolve(drift, P0, cfg)
         assert np.array_equal(out.values, _cn_reference(drift, P0, cfg))
 
