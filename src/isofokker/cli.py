@@ -114,6 +114,7 @@ _SCENARIOS = {
         lambda grid, cfg: schwarzschild_potential(cfg["temperature"], grid)[1],
     ),
 }
+_RMIN, _RMAX, _RPOINTS = _SCENARIOS["schwarzschild"].grid  # the blackhole window defaults
 
 
 def _scenario_drift(cfg: dict[str, object]) -> DriftSpec:
@@ -310,10 +311,7 @@ def cmd_ml(cfg) -> int:
     zs = np.linspace(zmin, zmax, steps)
     vals = ml_relaxation(cfg["alpha"], -zs, 1.0)  # E_alpha(z): the factor at rate -z and t = 1
     path = _out_path(cfg, "mittag_leffler.csv")
-    with open(path, "w") as fh:
-        fh.write("z,E_alpha\n")
-        for z, v in zip(zs, vals):
-            fh.write(f"{z:.17g},{v:.17g}\n")
+    np.savetxt(path, np.column_stack([zs, vals]), fmt="%.17g", delimiter=",", header="z,E_alpha", comments="")
     _emit(cfg, table=path)
     return 0
 
@@ -377,10 +375,10 @@ def _cn_gap(drift, p0, p1) -> float:
 
 def _schwarzschild_reconstruction(ctx) -> float:
     """Cumulative (T_H - T) dS from the inner edge against U, at T = 1/(4 pi)."""
-    rgrid = make_grid(0.1, 3.0, 581)
+    rgrid = make_grid(*_SCENARIOS["schwarzschild"].grid)
     T = _HAWKING_T
     thermal, _ = schwarzschild_potential(T, rgrid)
-    integrand = sample(rgrid, lambda r: (1.0 / (4.0 * math.pi * r) - T) * 2.0 * math.pi * r)
+    integrand = sample(rgrid, lambda r: (thermal.hawking(r) - T) * 2.0 * math.pi * r)
     return sup_diff(cumulative_integral(integrand) + float(thermal.U.values[0]), thermal.U)
 
 
@@ -488,9 +486,9 @@ COMMANDS = {
             _KMAX,
             Flag("--temperature", "temperature", float, _HAWKING_T, "ensemble temperature"),
             _OUT,
-            Flag("--rmin", "rmin", float, 0.1, "inner horizon radius"),
-            Flag("--rmax", "rmax", float, 3.0, "outer horizon radius"),
-            Flag("--rpoints", "rpoints", int, 581, "radial grid points"),
+            Flag("--rmin", "rmin", float, _RMIN, "inner horizon radius"),
+            Flag("--rmax", "rmax", float, _RMAX, "outer horizon radius"),
+            Flag("--rpoints", "rpoints", int, _RPOINTS, "radial grid points"),
             Flag("--lambda", "lambdas", str, None, "deform the thermal potential"),
         ),
     ),

@@ -1,12 +1,13 @@
 """n-step Darboux-Crum deletion of the lowest levels.
 
-Each step factorizes the current operator through its ground state and
-swaps the factors: the first-order operator A = d/dx - (ln|phi_g|)'
-annihilates the ground state and maps every higher state to an eigenstate
-of the partner, whose spectrum is the original one with the bottom level
-removed.  Iterating n times deletes the lowest n levels; the same states
-are also reachable in one shot as ratios of Wronskian determinants, and
-both routes are implemented so they can cross-check each other.
+Deleting the lowest n levels maps every higher state phi_k to the
+Wronskian ratio W[phi_0..phi_{n-1}, phi_k] / W[phi_0..phi_{n-1}], an
+eigenstate of the partner whose spectrum is the original one without
+those levels (Crum, Q. J. Math. 6 (1955) 121).  One kernel evaluates the
+ratio for every state of a basis at once.  At n = 1 it is the operator
+A = d/dx - (ln|phi_0|)', which annihilates the ground state: iterated, it
+builds a chain's stages, while ``crum_states`` takes the n-level ratio in
+one shot from the base spectrum, so the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import _expansion
-from .grid import GridFunction, _below_floor, _stencil, interior_hole_fraction, log_derivative
+from .grid import GridFunction, _below_floor, _dilate_mask, _stencil, interior_hole_fraction
 from .spectral import Basis, DriftSpec, Spectrum, _unit_rows, ground_state_to_drift
 
 __all__ = [
@@ -28,9 +29,9 @@ __all__ = [
     "partner_pdf",
 ]
 
-# A stage with unreliable nodes on more than this fraction of the interior,
-# not counting the wall-attached decaying tails, signals runaway mask
-# contamination from repeated differentiation.
+# A deletion masked on more than this fraction of the interior, not counting
+# the wall-attached decaying tails, signals a vanishing denominator or runaway
+# mask contamination from repeated differentiation.
 MAX_MASKED_FRACTION = 0.05
 
 
@@ -61,29 +62,50 @@ class DarbouxChain:
         return self.base.kmax
 
 
+def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows k >= n of ``basis`` with its lowest n levels deleted, and their one mask.
+
+    Along its phi_k column W[phi_0..phi_{n-1}, phi_k] = sum_j C_j phi_k^(j),
+    j = 0..n, with C_n the denominator W[phi_0..phi_{n-1}] (the ground row
+    itself at n = 1).  So the ratio is phi_k^(n) + sum_{j<n} a_j phi_k^(j)
+    for every k, where by Cramer's rule a_j = C_j / C_n solves
+    sum_j a_j phi_i^(j) = -phi_i^(n), i < n, by LU at each node.  Masked are
+    the nodes where the denominator underflows and the basis mask grown by
+    n stencil footprints.  Returns read-only unit, sign-fixed rows and mask.
+    """
+    rows = [basis.values]
+    grown = basis.mask
+    for _ in range(n):
+        rows.append(_stencil(rows[-1], basis.grid.h))
+        grown = _dilate_mask(grown)
+    rows = np.array(rows)  # (order, state, node)
+    low = rows[:n, :n]
+    den = low[0, 0] if n == 1 else np.linalg.det(low.transpose(2, 0, 1))
+    bad = _below_floor(den) if grown is None else _below_floor(den) | grown
+    if interior_hole_fraction(bad) > MAX_MASKED_FRACTION:
+        raise ValueError("denominator Wronskian unreliable on over 5% of the interior: grid too coarse or noisy")
+    system = np.where(bad[:, None, None], np.eye(n), low.transpose(2, 1, 0))
+    ratios = np.linalg.solve(system, -rows[n, :n].T[..., None])[..., 0].T
+    values = _unit_rows(basis.grid, rows[n, n:] + sum(a * row for a, row in zip(ratios, rows[:n, n:])), bad)
+    values.setflags(write=False)
+    bad.setflags(write=False)
+    return values, bad
+
+
 def darboux_step(chain: DarbouxChain) -> DarbouxChain:
     """Append one stage: delete the current ground level.
 
     New states are A phi_k = phi_k' - (ln|phi_g|)' phi_k for k above the
-    deleted level, taken for all of them in one pass over the stage's rows,
-    renormalized and sign-fixed; energies shift so the new stage ground
-    sits at zero.  The stage shares the kernel (ln|phi_g|)'s mask, which
-    covers the previous stage's mask and its stencil footprint.
+    deleted level: the deletion kernel at n = 1 on the current stage.
+    Energies shift so the new stage ground sits at zero.
     """
     s = chain.n_steps
     stage = chain.stage_states[s]
     if len(stage) < 2:
         raise ValueError("no levels left above the stage ground state")
-    kernel = log_derivative(stage.state(0))
-    if kernel.mask is not None and interior_hole_fraction(kernel.mask) > MAX_MASKED_FRACTION:
-        raise ValueError(
-            "masked-node contamination exceeds 5% of the interior; "
-            "grid too coarse or state too noisy for another Darboux step"
-        )
-    above = stage.values[1:]
-    rows = _stencil(above, stage.grid.h) - kernel.values * above
+    values, mask = _delete_lowest(stage, 1)
     energies = chain.base.energies[s + 1 :] - chain.base.energies[s + 1]
-    new = Basis(stage.grid, energies, _unit_rows(stage.grid, rows, kernel.mask), kernel.mask)
+    new = Basis(stage.grid, energies, values, mask)
     return DarbouxChain(base=chain.base, stage_states=chain.stage_states + (new,))
 
 
@@ -100,50 +122,13 @@ def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
     return chain
 
 
-def _derivative_stack(values: np.ndarray, h: float, order: int) -> list[np.ndarray]:
-    rows = [values]
-    for _ in range(order):
-        rows.append(_stencil(rows[-1], h))
-    return rows
-
-
-def _crum_cofactors(base: Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cofactor ratios of the last-column expansion of W[phi_0..phi_{n-1}, phi_k].
-
-    Along its phi_k column the numerator is sum_j C_j phi_k^(j), j = 0..n,
-    with C_n = W[phi_0..phi_{n-1}] the denominator, so the ratio is
-    phi_k^(n) + sum_{j<n} a_j phi_k^(j) with a_j = C_j / C_n for every k.
-    By Cramer's rule the a_j solve sum_j a_j phi_i^(j) = -phi_i^(n) for
-    i < n, which each node does by partially pivoted LU.  Returns the
-    (n, nodes) ratios and the mask where the denominator underflows;
-    computed once per (spectrum, n), and an n whose denominator fails the
-    interior check raises and is not kept.
-    """
-    memo = base._crum_memo
-    if n in memo:
-        return memo[n]
-    h = base.grid.h
-    rows = np.array([_derivative_stack(base.values[i], h, n) for i in range(n)])  # (state, order, node)
-    den = rows[0, 0].copy() if n == 1 else np.linalg.det(rows[:, :n].transpose(2, 1, 0))
-    bad = _below_floor(den)
-    if interior_hole_fraction(bad) > MAX_MASKED_FRACTION:
-        raise ValueError("denominator Wronskian vanishes on more than 5% of the interior")
-    system = np.where(bad[:, None, None], np.eye(n), rows[:, :n].transpose(2, 0, 1))
-    ratios = np.linalg.solve(system, -rows[:, n].T[..., None])[..., 0].T
-    ratios.setflags(write=False)
-    bad.setflags(write=False)
-    memo[n] = (ratios, bad)
-    return ratios, bad
-
-
 def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
     """State phi_k after deleting the lowest n levels, via Wronskian ratios.
 
-    phi_k^{(n)} = W[phi_0..phi_{n-1}, phi_k] / W[phi_0..phi_{n-1}],
-    normalized and sign-fixed, masked where the denominator Wronskian
-    underflows.  The numerator is expanded along its phi_k column, with
-    cofactors shared by every k at this n.  Independent of the
-    iterated-step route on purpose.
+    phi_k^{(n)} = W[phi_0..phi_{n-1}, phi_k] / W[phi_0..phi_{n-1}]: the
+    deletion kernel at n on the base spectrum, in one shot rather than
+    through n steps.  Its rows are kept per (spectrum, n); an n whose
+    denominator fails the interior check raises and is not kept.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -151,10 +136,10 @@ def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
         raise IndexError(f"level {k} is among the deleted ones (n={n})")
     if k > base.kmax:
         raise IndexError(f"level {k} beyond kmax={base.kmax}")
-    ratios, bad = _crum_cofactors(base, n)
-    rows = _derivative_stack(base.values[k], base.grid.h, n)
-    vals = rows[n] + sum(a * row for a, row in zip(ratios, rows))
-    return GridFunction(base.grid, _unit_rows(base.grid, vals, bad)[0], bad)
+    if n not in base._crum_memo:
+        base._crum_memo[n] = _delete_lowest(base, n)
+    values, mask = base._crum_memo[n]
+    return GridFunction(base.grid, values[k - n], mask)
 
 
 def partner_drift(chain: DarbouxChain, stage: int | None = None) -> DriftSpec:

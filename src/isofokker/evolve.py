@@ -43,9 +43,12 @@ class TemporalRule:
     def factors(self, energies, t: float) -> np.ndarray:
         """Factor e^{-eps t} or E_alpha(-eps t^alpha) at time t for every rate eps in ``energies``.
 
-        A rate below -1e-8 raises; one in [-1e-8, 0) is a numerical zero mode and snaps to 0.
+        A non-finite rate or one below -1e-8 raises; one in [-1e-8, 0) is a
+        numerical zero mode and snaps to 0.
         """
         eps = np.asarray(energies, dtype=float)
+        if not np.isfinite(eps).all():
+            raise ValueError(f"relaxation rate must be finite, got {eps[~np.isfinite(eps)][0]}")
         if eps.size and eps.min() < 0.0:
             if eps.min() < -1e-8:
                 raise ValueError(f"negative relaxation rate {eps.min()}")
@@ -59,19 +62,17 @@ class TemporalRule:
 
 @dataclass(frozen=True, eq=False)
 class FpeSolution:
-    """Expansion coefficients over a spectrum plus a temporal rule."""
+    """Expansion coefficients over a spectrum plus a temporal rule.
+
+    The coefficient count is checked where a density is formed (``_expansion``).
+    """
 
     spectrum: Spectrum
     coeffs: np.ndarray
     temporal: TemporalRule
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if len(coeffs) > self.spectrum.kmax + 1:
-            raise ValueError(
-                f"{len(coeffs)} coefficients exceed the {self.spectrum.kmax + 1} solved modes"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
 
 
 def project(P0: GridFunction, spectrum: Spectrum) -> np.ndarray:

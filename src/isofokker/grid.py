@@ -353,12 +353,8 @@ def write_csv(path, columns: dict[str, GridFunction]) -> None:
     if not columns:
         raise ValueError("no columns to write")
     first = next(iter(columns.values()))
-    names = ["x"] + list(columns)
-    arrays = [first.grid.x] + [gf.values for gf in columns.values()]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    table = np.column_stack([first.grid.x] + [gf.values for gf in columns.values()])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(["x", *columns]), comments="")
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:

@@ -122,8 +122,8 @@ class Spectrum(Basis):
     (phi_k'(c1) > 0), which makes downstream chains reproducible run to run.
     """
 
-    # Work shared by every call at one n, keyed by n (see darboux.crum_states);
-    # safe to keep because the spectrum is frozen and its states read-only.
+    # The Wronskian states and mask of each n asked for, keyed by n (see
+    # darboux.crum_states); safe to keep because the spectrum is frozen.
     _crum_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -208,16 +208,29 @@ class TestCrumCofactorExpansion:
             assert np.array_equal(crum_states(fresh, n, k).values, f.values)
 
     def test_failing_denominator_raises_on_every_call(self):
-        # a ground state vanishing on the middle fifth of the domain
-        g = make_grid(-1.0, 1.0, 401)
-        x = g.x
-        bump = np.where(np.abs(x) > 0.2, np.sin(np.pi * x) ** 2, 0.0)
-        states = [bump, np.sin(np.pi * (x + 1.0) / 2.0) * x, np.sin(np.pi * (x + 1.0))]
-        spec = Spectrum(g, np.array([0.0, 1.0, 2.0]), states, None)
+        spec = _banded_ground_spectrum()
         for _ in range(3):
             with pytest.raises(ValueError, match="denominator Wronskian"):
                 crum_states(spec, 1, 1)
         assert 1 not in spec._crum_memo
+
+    def test_chain_step_shares_the_guard(self):
+        # the first chain step is the one-level deletion, so it fails the same way
+        spec = _banded_ground_spectrum()
+        with pytest.raises(ValueError, match="denominator Wronskian") as step:
+            build_chain(spec, 1)
+        with pytest.raises(ValueError) as crum:
+            crum_states(spec, 1, 1)
+        assert str(step.value) == str(crum.value)
+
+
+def _banded_ground_spectrum():
+    """Three hand-made states whose ground state vanishes on the middle fifth of the domain."""
+    g = make_grid(-1.0, 1.0, 401)
+    x = g.x
+    bump = np.where(np.abs(x) > 0.2, np.sin(np.pi * x) ** 2, 0.0)
+    states = [bump, np.sin(np.pi * (x + 1.0) / 2.0) * x, np.sin(np.pi * (x + 1.0))]
+    return Spectrum(g, np.array([0.0, 1.0, 2.0]), states, None)
 
 
 class TestPartnerDrift:

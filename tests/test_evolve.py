@@ -87,6 +87,12 @@ class TestTemporalRule:
             rule.factors([0.0, -2e-8, 1.0], 1.0)
 
     @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.5)])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rule, rate):
+        with pytest.raises(ValueError, match="relaxation rate must be finite"):
+            rule.factors([0.0, rate, 1.0], 1.0)
+
+    @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.5)])
     def test_empty_rates(self, rule):
         assert rule.factors([], 1.0).shape == (0,)
 
@@ -216,8 +222,8 @@ class TestEvolvePdf:
             evolve_pdf(FpeSolution(spectrum, gaussian_coeffs, rule), 1.0)
 
     def test_coefficient_count_guard(self, ou_spectrum):
-        with pytest.raises(ValueError):
-            FpeSolution(ou_spectrum, np.ones(9), TemporalRule.classical())
+        with pytest.raises(ValueError, match="9 coefficients for 8 states"):
+            evolve_pdf(FpeSolution(ou_spectrum, np.ones(9), TemporalRule.classical()), 1.0)
 
 
 @pytest.fixture(scope="module")
