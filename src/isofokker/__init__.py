@@ -42,9 +42,9 @@ from .evolve import FpeSolution, TemporalRule, evolve_pdf, moments, project, tru
 from .mittag import mittag_leffler, ml_relaxation
 from .oracle import CnConfig, cn_evolve, gl_residual
 from .scenarios import (
-    ThermalPotential,
     box_scenario,
     custom_drift,
+    hawking_temperature,
     ou_reference_state,
     ou_scenario,
     schwarzschild_potential,

@@ -26,7 +26,7 @@ from .grid import (
 from .isospectral import IsoParams, iso_pdf, reinstate
 from .mittag import mittag_leffler, ml_relaxation
 from .oracle import CnConfig, cn_evolve, gl_residual
-from .scenarios import box_scenario, custom_drift, ou_scenario, schwarzschild_potential
+from .scenarios import box_scenario, custom_drift, hawking_temperature, ou_scenario, schwarzschild_potential
 from .spectral import DriftSpec, build_hamiltonian, ground_state_to_drift, solve_spectrum
 
 SCHEMA_VERSION = 1
@@ -105,13 +105,13 @@ class Scenario(NamedTuple):
     drift: Callable[..., DriftSpec]  # (grid, cfg) -> drift
 
 
-_HAWKING_T = 1.0 / (4.0 * math.pi)  # T_h = 1/(4 pi r_h) at r_h = 1
+_HAWKING_T = hawking_temperature(1.0)  # the temperature whose equilibrium radius is 1
 _SCENARIOS = {
     "ou": Scenario((-12.0, 12.0, 2001), "gamma", 1.0, lambda grid, cfg: ou_scenario(grid, cfg["gamma"])),
     "box": Scenario((0.0, 1.0, 2001), None, None, lambda grid, cfg: box_scenario(grid)),
     "schwarzschild": Scenario(
         (0.1, 3.0, 581), "temperature", _HAWKING_T,
-        lambda grid, cfg: schwarzschild_potential(cfg["temperature"], grid)[1],
+        lambda grid, cfg: schwarzschild_potential(cfg["temperature"], grid),
     ),
 }
 _RMIN, _RMAX, _RPOINTS = _SCENARIOS["schwarzschild"].grid  # the blackhole window defaults
@@ -172,14 +172,12 @@ def _reinstated(spectrum, lambdas_text: str, levels_above: int):
 
     The spectrum must reach ``levels_above`` levels above the n deleted ones.
     """
-    lambdas = _parse_floats(lambdas_text)
-    if not lambdas:
-        raise UsageError("--lambda needs at least one value")
-    n = len(lambdas)
+    params = IsoParams(_parse_floats(lambdas_text))
+    n = len(params)
     if spectrum.kmax < n + levels_above:
         least = "n" if levels_above == 1 else f"n + {levels_above - 1}"
         raise UsageError(f"{n} parameters need kmax > {least} (got kmax={spectrum.kmax})")
-    return reinstate(build_chain(spectrum, n), IsoParams(lambdas))
+    return reinstate(build_chain(spectrum, n), params)
 
 
 def cmd_spectrum(cfg) -> int:
@@ -201,8 +199,6 @@ def cmd_darboux(cfg) -> int:
             file=sys.stderr,
         )
     spectrum = _spectrum_pipeline(cfg)
-    if steps >= spectrum.kmax:
-        raise UsageError(f"steps={steps} needs kmax > steps (got kmax={spectrum.kmax})")
     chain = build_chain(spectrum, steps)
     drifts = {f"D{s}": partner_drift(chain, s).D for s in range(1, steps + 1)}
     write_csv(_out_path(cfg, "darboux_drifts.csv"), drifts)
@@ -228,17 +224,19 @@ def cmd_deform(cfg) -> int:
         {"D": deformation.drift.D, "W": deformation.drift.W, "stationary": stationary},
     )
     kcheck = spectrum.kmax - 2
-    resolved = solve_spectrum(build_hamiltonian(deformation.drift.W), kcheck)
-    # the reinstated operator is isospectral to the original shifted to a
-    # zero ground level; the shift vanishes for conservative scenarios
-    reference = spectrum.energies[: kcheck + 1] - spectrum.energies[0]
-    max_diff = _max_abs(resolved.energies - reference)
+    resolved = solve_spectrum(build_hamiltonian(deformation.drift.W), kcheck).energies
+    # the reference re-solves the original ground state by the same route:
+    # W = -ln|phi_0| diverges at Dirichlet walls, which moves the levels of a
+    # wall scenario by far more than the deformation does
+    reference = solve_spectrum(build_hamiltonian(ground_state_to_drift(spectrum.state(0)).W), kcheck).energies
+    max_diff = _max_abs(resolved - reference)
     passed = max_diff <= 5e-3
     _emit(
         cfg,
         original_eigenvalues=list(spectrum.energies[: kcheck + 1]),
-        original_eigenvalues_shifted=list(reference),
-        deformed_eigenvalues=list(resolved.energies),
+        original_eigenvalues_shifted=list(spectrum.energies[: kcheck + 1] - spectrum.energies[0]),
+        reference_eigenvalues=list(reference),
+        deformed_eigenvalues=list(resolved),
         max_abs_eig_diff=max_diff,
         isospectral=passed,
     )
@@ -253,7 +251,7 @@ def _initial_condition(cfg, grid) -> GridFunction:
         except ValueError as exc:
             raise UsageError(f"bad gaussian IC {spec!r}: expected gaussian:mean,var") from exc
         if var <= 0:
-            raise UsageError("gaussian IC needs positive variance")
+            raise UsageError(f"gaussian IC {spec!r} needs positive variance")
         P0 = sample(grid, lambda x: np.exp(-((x - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var))
         return P0 / integrate(P0)
     if spec.startswith("csv:"):
@@ -307,7 +305,7 @@ def cmd_ml(cfg) -> int:
     if zmax > 0 or zmin > zmax:
         raise UsageError("need zmin <= zmax <= 0")
     if steps < 2:
-        raise UsageError("need at least 2 table points")
+        raise UsageError("--steps needs at least 2 table points")
     zs = np.linspace(zmin, zmax, steps)
     vals = ml_relaxation(cfg["alpha"], -zs, 1.0)  # E_alpha(z): the factor at rate -z and t = 1
     path = _out_path(cfg, "mittag_leffler.csv")
@@ -318,8 +316,9 @@ def cmd_ml(cfg) -> int:
 
 def cmd_blackhole(cfg) -> int:
     T = cfg["temperature"]
-    thermal, drift = schwarzschild_potential(T, make_grid(cfg["rmin"], cfg["rmax"], cfg["rpoints"]))
-    columns = {"U": thermal.U, "D": drift.D}
+    drift = schwarzschild_potential(T, make_grid(cfg["rmin"], cfg["rmax"], cfg["rpoints"]))
+    U = 2.0 * drift.W
+    columns = {"U": U, "D": drift.D}
     fields = {"equilibrium_radius": 1.0 / (4.0 * math.pi * T)}
     if cfg["lambdas"] is not None:
         spectrum = solve_spectrum(build_hamiltonian(drift.W), cfg["kmax"])
@@ -327,7 +326,7 @@ def cmd_blackhole(cfg) -> int:
         # the deformation changes the drift by 2 (ln|phi^_0/phi_0|)'; the
         # ratio is smooth where each ground state has a Dirichlet wall zero
         change = ground_state_to_drift(divide(deformation.state(0), spectrum.state(0)))
-        columns["U_deformed"] = thermal.U + 2.0 * change.W
+        columns["U_deformed"] = U + 2.0 * change.W
         columns["D_deformed"] = drift.D + change.D
         fields["eigenvalues"] = list(spectrum.energies)
     write_csv(_out_path(cfg, "blackhole.csv"), columns)
@@ -377,9 +376,9 @@ def _schwarzschild_reconstruction(ctx) -> float:
     """Cumulative (T_H - T) dS from the inner edge against U, at T = 1/(4 pi)."""
     rgrid = make_grid(*_SCENARIOS["schwarzschild"].grid)
     T = _HAWKING_T
-    thermal, _ = schwarzschild_potential(T, rgrid)
-    integrand = sample(rgrid, lambda r: (thermal.hawking(r) - T) * 2.0 * math.pi * r)
-    return sup_diff(cumulative_integral(integrand) + float(thermal.U.values[0]), thermal.U)
+    U = 2.0 * schwarzschild_potential(T, rgrid).W
+    integrand = sample(rgrid, lambda r: (hawking_temperature(r) - T) * 2.0 * math.pi * r)
+    return sup_diff(cumulative_integral(integrand) + float(U.values[0]), U)
 
 
 # The checks of `isofokker verify`, in report order; tests/test_acceptance.py runs the same list.

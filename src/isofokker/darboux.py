@@ -57,10 +57,6 @@ class DarbouxChain:
             raise IndexError(f"level {k} was deleted before stage {s}")
         return self.stage_states[s].state(k - s)
 
-    @property
-    def kmax(self) -> int:
-        return self.base.kmax
-
 
 def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows k >= n of ``basis`` with its lowest n levels deleted, and their one mask.

@@ -123,9 +123,9 @@ class GridFunction:
     def _combined_mask(self, other) -> np.ndarray | None:
         om = other.mask if isinstance(other, GridFunction) else None
         if self.mask is None:
-            return None if om is None else om.copy()
+            return om
         if om is None:
-            return self.mask.copy()
+            return self.mask
         return self.mask | om
 
     def _other_values(self, other) -> np.ndarray:
@@ -147,9 +147,6 @@ class GridFunction:
     def __sub__(self, other):
         return GridFunction(self.grid, self.values - self._other_values(other), self._combined_mask(other))
 
-    def __rsub__(self, other):
-        return GridFunction(self.grid, self._other_values(other) - self.values, self._combined_mask(other))
-
     def __mul__(self, other):
         return GridFunction(self.grid, self.values * self._other_values(other), self._combined_mask(other))
 
@@ -158,18 +155,14 @@ class GridFunction:
     def __truediv__(self, other):
         if isinstance(other, GridFunction):
             return divide(self, other)
-        return GridFunction(self.grid, self.values / float(other), None if self.mask is None else self.mask.copy())
+        return GridFunction(self.grid, self.values / float(other), self.mask)
 
     def __rtruediv__(self, other):
         num = GridFunction(self.grid, np.full(self.grid.n_points, float(other)))
         return divide(num, self)
 
     def __neg__(self):
-        return GridFunction(self.grid, -self.values, None if self.mask is None else self.mask.copy())
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
+        return GridFunction(self.grid, -self.values, self.mask)
 
     def unmasked(self) -> np.ndarray:
         """Boolean index of reliable nodes."""

@@ -70,7 +70,6 @@ class IsoDeformation(Basis):
     parameter D - 2 d/dx ln(I_0 + lambda_0).
     """
 
-    params: IsoParams
     chain: DarbouxChain
     drift: DriftSpec
 
@@ -116,7 +115,6 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         energies=base.energies,
         values=values,
         mask=None,
-        params=params,
         chain=chain,
         drift=ground_state_to_drift(GridFunction(base.grid, values[0])),
     )

@@ -8,7 +8,6 @@ U = int (T_h - T) dS over the horizon radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ __all__ = [
     "ou_transition",
     "box_scenario",
     "custom_drift",
-    "ThermalPotential",
+    "hawking_temperature",
     "schwarzschild_potential",
 ]
 
@@ -102,36 +101,22 @@ def custom_drift(path) -> DriftSpec:
     return DriftSpec(W=W, D=D)
 
 
-@dataclass(frozen=True, eq=False)
-class ThermalPotential:
-    """Thermal potential U(r_h) = int (T_h - T) dS of a black-hole ensemble.
-
-    T is the ensemble temperature, T_h the Hawking temperature of the hole
-    as a function of the horizon radius, and S = pi r_h^2 its entropy.
-    """
-
-    T: float
-    hawking: object
-    U: GridFunction
+def hawking_temperature(r):
+    """Hawking temperature T_h = 1/(4 pi r_h) of a Schwarzschild hole of horizon radius r_h."""
+    return 1.0 / (4.0 * math.pi * r)
 
 
-def schwarzschild_potential(T: float, grid: Grid1D) -> tuple[ThermalPotential, DriftSpec]:
-    """Schwarzschild thermal potential and the drift it induces.
+def schwarzschild_potential(T: float, grid: Grid1D) -> DriftSpec:
+    """Drift induced by the Schwarzschild thermal potential U = int (T_h - T) dS.
 
-    T_h = 1/(4 pi r_h) and S = pi r_h^2 give U = r_h/2 - pi T r_h^2 in
-    closed form.  The drift potential is U = 2W, so W = U/2 and
-    D = -U' = 2 pi T r_h - 1/2.
+    T_h = 1/(4 pi r_h) (:func:`hawking_temperature`) and S = pi r_h^2 give
+    U = r_h/2 - pi T r_h^2 in closed form.  The drift potential is U = 2W,
+    so W = U/2 and D = -U' = 2 pi T r_h - 1/2.
     """
     if T <= 0:
         raise ValueError(f"ensemble temperature must be positive, got {T}")
     if grid.c1 <= 0:
         raise ValueError("horizon-radius grid must be strictly positive")
     U = sample(grid, lambda r: 0.5 * r - math.pi * T * r**2)
-    W = 0.5 * U
     D = sample(grid, lambda r: 2.0 * math.pi * T * r - 0.5)
-    thermal = ThermalPotential(
-        T=T,
-        hawking=lambda r: 1.0 / (4.0 * math.pi * r),
-        U=U,
-    )
-    return thermal, DriftSpec(W=W, D=D)
+    return DriftSpec(W=0.5 * U, D=D)

@@ -49,10 +49,6 @@ class DriftSpec:
     W: GridFunction
     D: GridFunction
 
-    @classmethod
-    def from_prepotential(cls, W: GridFunction) -> "DriftSpec":
-        return cls(W=W, D=-2.0 * derivative(W))
-
     @property
     def grid(self) -> Grid1D:
         return self.W.grid

@@ -174,7 +174,7 @@ def reinstate_reference(chain, lambdas) -> list:
         for j in range(s - 1, -1, -1):
             f = _first_order(f, b_kernels[j], adjoint=True)
         states.append(sign_fixed(normalized(f)))
-    for k in range(n, chain.kmax + 1):
+    for k in range(n, chain.base.kmax + 1):
         f = chain.state(n, k)
         for j in range(n - 1, -1, -1):
             f = _first_order(f, b_kernels[j], adjoint=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from isofokker.cli import VERIFY_CHECKS, UsageError, _initial_condition, main
 from isofokker.grid import (
     GridFunction, cumulative_integral, derivative, integrate, make_grid, read_csv_columns,
 )
-from isofokker.scenarios import schwarzschild_potential
+from isofokker.scenarios import ou_scenario, schwarzschild_potential
 from isofokker.spectral import build_hamiltonian, solve_spectrum
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -185,6 +186,32 @@ class TestDeformCommand:
         assert rc == 1
         assert "need kmax > n + 1" in err
 
+    @pytest.mark.parametrize("scenario", ["box", "schwarzschild"])
+    def test_wall_scenarios_are_isospectral(self, capsys, tmp_path, scenario):
+        # the reference re-solves the original ground state by the deformed
+        # drift's route, so the walls' -ln phi divergence cancels
+        rc, out, err = run_cli(
+            capsys, "deform", "--scenario", scenario, "--lambda", "0.5,0.5", "--out", str(tmp_path)
+        )
+        assert rc == 0, err
+        report = json.loads(out)
+        gap = np.max(np.abs(np.subtract(report["deformed_eigenvalues"], report["reference_eigenvalues"])))
+        assert report["max_abs_eig_diff"] == gap <= 5e-3
+        assert report["isospectral"] is True
+
+    def test_non_isospectral_deformation_exits_two(self, capsys, tmp_path, monkeypatch):
+        # swap the deformed drift for OU at gamma = 2, whose levels are 0, 2, 4, ...
+        reinstate = cli.reinstate
+        monkeypatch.setattr(
+            cli,
+            "reinstate",
+            lambda chain, params: replace(reinstate(chain, params), drift=ou_scenario(chain.base.grid, 2.0)),
+        )
+        rc, out, _ = run_cli(capsys, "deform", "--lambda", "0.5", "--kmax", "4", "--out", str(tmp_path))
+        assert rc == 2
+        report = json.loads(out)
+        assert report["isospectral"] is False and report["max_abs_eig_diff"] > 0.5
+
     def test_least_kmax_compares_first_carried_level(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, "deform", "--lambda", "0.5", "--kmax", "3", "--out", str(tmp_path))
         assert rc == 0
@@ -351,7 +378,7 @@ class TestBlackholeCommand:
         assert rc == 0
         cols = read_csv_columns(tmp_path / "blackhole.csv")
         grid = make_grid(0.1, 3.0, 581)
-        _, drift = schwarzschild_potential(1.0 / (4.0 * math.pi), grid)
+        drift = schwarzschild_potential(1.0 / (4.0 * math.pi), grid)
         phi0 = solve_spectrum(build_hamiltonian(drift.W), 5).state(0)
         closed = drift.D - 2.0 * phi0 * phi0 * (1.0 / (cumulative_integral(phi0 * phi0) + 2.0))
         inner = slice(3, -3)
@@ -381,6 +408,13 @@ class TestDarbouxCommand:
         )
         assert rc == 0
         assert "unvalidated" in err
+
+    def test_steps_equal_to_kmax_runs(self, capsys, tmp_path):
+        # build_chain owns the rule: all levels but the top one may go
+        rc, out, err = run_cli(capsys, "darboux", "--steps", "3", "--kmax", "3", "--out", str(tmp_path))
+        assert rc == 0, err
+        assert list(json.loads(out)["stage_energies"]["3"]) == [0.0]
+        assert list(read_csv_columns(tmp_path / "darboux_states.csv")) == ["x", "phi3_stage3"]
 
 
 class TestConfigHandling:
@@ -441,6 +475,41 @@ class TestConfigHandling:
         assert run_cli(capsys, *args)[0] == 0
         for n in names:
             assert (tmp_path / n).read_bytes() == first[n]
+
+
+class TestUsageErrors:
+    """Inputs the CLI refuses: exit 1, an error line naming the input, and no artifact."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (("spectrum", "--config", "{tmp}/missing.cfg"), "missing.cfg"),
+            (("spectrum", "--grid=-12:12"), "-12:12"),
+            (("spectrum", "--grid=-12:x:2001"), "-12:x:2001"),
+            (("evolve", "--times", "1,x"), "1,x"),
+            (("evolve", "--times", "-1"), "--times"),
+            (("spectrum", "--scenario", "csv:{tmp}/missing.csv"), "missing.csv"),
+            (("evolve", "--ic", "gaussian:1"), "gaussian:1"),
+            (("evolve", "--ic", "gaussian:0,0"), "gaussian:0,0"),
+            (("evolve", "--ic", "csv:{tmp}/missing.csv"), "missing.csv"),
+            (("evolve", "--ic", "csv:{tmp}/three.csv"), "three.csv"),
+            (("ml", "--steps", "1"), "--steps"),
+            (("deform", "--lambda", ""), "deformation parameter"),
+            (("darboux", "--steps", "4", "--kmax", "3"), "cannot delete 4 levels"),
+        ],
+        ids=[
+            "config-unreadable", "grid-two-fields", "grid-not-a-number", "times-not-a-number",
+            "times-negative", "csv-drift-missing", "ic-gaussian-one-field", "ic-gaussian-zero-variance",
+            "ic-csv-missing", "ic-csv-three-columns", "ml-one-step", "lambda-empty", "darboux-steps-above-kmax",
+        ],
+    )
+    def test_exits_one_naming_the_input(self, capsys, tmp_path, argv, needle):
+        np.savetxt(tmp_path / "three.csv", np.ones((5, 3)), delimiter=",")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        rc, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert err.startswith("error:") and needle in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFlagTable:

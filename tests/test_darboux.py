@@ -16,6 +16,7 @@ from isofokker.grid import (
 from isofokker.oracle import CnConfig, cn_evolve
 from isofokker.scenarios import box_scenario
 from isofokker.spectral import (
+    Basis,
     Spectrum,
     build_hamiltonian,
     ground_state_to_drift,
@@ -270,6 +271,13 @@ class TestPartnerDrift:
     def test_stage_outside_chain_rejected(self, ou_chain3, stage):
         with pytest.raises(ValueError, match="stage"):
             partner_drift(ou_chain3, stage)
+
+    def test_noded_stage_ground_state_rejected(self, ou_spectrum):
+        # a hand-built stage 1 whose ground row is phi_1, with its node at x = 0
+        noded = Basis(ou_spectrum.grid, ou_spectrum.energies[1:], ou_spectrum.values[1:], None)
+        chain = DarbouxChain(base=ou_spectrum, stage_states=(ou_spectrum, noded))
+        with pytest.raises(ValueError, match="stage-1 ground state is not node-free"):
+            partner_drift(chain, 1)
 
 
 class TestPartnerPdf:

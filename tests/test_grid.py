@@ -255,6 +255,19 @@ class TestGridFunction:
         f = GridFunction(g, np.ones(11), m1) + GridFunction(g, np.ones(11), m2)
         assert f.mask[1] and f.mask[9] and not f.mask[5]
 
+    def test_results_keep_their_masks_when_an_input_mask_changes(self):
+        # the constructor copies a mask, so results can share an operand's mask
+        g = make_grid(0.0, 1.0, 11)
+        m = np.zeros(11, dtype=bool)
+        m[1] = True
+        f = GridFunction(g, np.ones(11), m)
+        results = [f + 1.0, 1.0 + f, f - 1.0, 2.0 * f, f / 2.0, -f, f + GridFunction(g, np.ones(11))]
+        m[:] = True
+        assert not f.mask.flags.writeable
+        for r in results:
+            assert not r.mask.flags.writeable
+            assert np.flatnonzero(r.mask).tolist() == [1]
+
     def test_divide_masks_small_denominator(self):
         g = make_grid(-1.0, 1.0, 201)
         num = sample(g, lambda x: np.ones_like(x))

@@ -19,6 +19,7 @@ from isofokker.scenarios import (
     _hermite,
     box_scenario,
     custom_drift,
+    hawking_temperature,
     ou_reference_state,
     ou_scenario,
     ou_transition,
@@ -86,38 +87,38 @@ class TestSchwarzschild:
     def test_closed_form_value(self):
         # U(1) = 1/2 - 1/4 at T = 1/(4 pi)
         g = make_grid(0.1, 3.0, 581)
-        thermal, _ = schwarzschild_potential(1.0 / (4.0 * math.pi), g)
+        U = 2.0 * schwarzschild_potential(1.0 / (4.0 * math.pi), g).W
         i = int(round((1.0 - g.c1) / g.h))
-        assert thermal.U.values[i] == pytest.approx(0.25, abs=1e-14)
+        assert U.values[i] == pytest.approx(0.25, abs=1e-14)
 
     def test_equilibrium_at_hawking_temperature(self):
         # U' = 0 exactly where T_h(r) = T
         T = 0.05
         g = make_grid(0.1, 3.0, 2901)
-        thermal, ds = schwarzschild_potential(T, g)
+        U = 2.0 * schwarzschild_potential(T, g).W
         r_eq = 1.0 / (4.0 * math.pi * T)
         i = int(round((r_eq - g.c1) / g.h))
-        dU = derivative(thermal.U)
+        dU = derivative(U)
         assert abs(dU.values[i]) < 1e-3 * (abs(r_eq - g.x[i]) / g.h + 1.0)
-        assert thermal.hawking(r_eq) == pytest.approx(T)
+        assert hawking_temperature(r_eq) == pytest.approx(T)
 
     def test_cumulative_reconstruction(self):
         # integrating (T_h - T) dS over r_h reproduces the closed form
         T = 1.0 / (4.0 * math.pi)
         g = make_grid(0.1, 3.0, 581)
-        thermal, _ = schwarzschild_potential(T, g)
+        U = 2.0 * schwarzschild_potential(T, g).W
         integrand = sample(g, lambda r: (1.0 / (4.0 * math.pi * r) - T) * 2.0 * math.pi * r)
-        rec = cumulative_integral(integrand) + float(thermal.U.values[0])
-        assert sup_diff(rec, thermal.U) < 1e-6
+        rec = cumulative_integral(integrand) + float(U.values[0])
+        assert sup_diff(rec, U) < 1e-6
 
     def test_drift_consistency(self):
-        _, ds = schwarzschild_potential(0.03, make_grid(0.2, 2.0, 901))
+        ds = schwarzschild_potential(0.03, make_grid(0.2, 2.0, 901))
         assert drift_consistency(ds) < 1e-9
 
     def test_concavity_makes_potential_non_confining(self):
         # U'' = -2 pi T < 0 for every T; the drift potential bends down
-        thermal, _ = schwarzschild_potential(0.1, make_grid(0.1, 3.0, 581))
-        d2 = derivative(derivative(thermal.U))
+        U = 2.0 * schwarzschild_potential(0.1, make_grid(0.1, 3.0, 581)).W
+        d2 = derivative(derivative(U))
         assert np.all(d2.values < 0.0)
 
     def test_invalid_inputs(self):

@@ -17,7 +17,6 @@ from isofokker.grid import (
 )
 from isofokker.scenarios import box_scenario, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
-    DriftSpec,
     _unit_rows,
     build_hamiltonian,
     ground_state_to_drift,
@@ -173,7 +172,7 @@ REFERENCE_CASES = [
     ),
     pytest.param(lambda: build_hamiltonian(box_scenario(make_grid(0.0, 1.0, 2001)).W), 3, id="box"),
     pytest.param(
-        lambda: build_hamiltonian(schwarzschild_potential(0.08, make_grid(0.1, 3.0, 581))[1].W),
+        lambda: build_hamiltonian(schwarzschild_potential(0.08, make_grid(0.1, 3.0, 581)).W),
         8,
         id="schwarzschild",
     ),
@@ -293,9 +292,3 @@ class TestGroundStateToDrift:
     def test_noded_state_rejected(self, ou_spectrum):
         with pytest.raises(ValueError, match="zero"):
             ground_state_to_drift(ou_spectrum.state(1))
-
-
-class TestDriftSpec:
-    def test_from_prepotential(self, ou_grid):
-        ds = DriftSpec.from_prepotential(sample(ou_grid, lambda x: x**2 / 4.0))
-        assert sup_diff(ds.D, sample(ou_grid, lambda x: -x)) < 1e-9
