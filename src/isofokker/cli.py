@@ -85,9 +85,15 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise UsageError(f"bad grid spec {text!r}: {exc}") from exc
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """The numbers of a comma list; a blank list has none, and an empty field is refused."""
+    if not text.strip():
+        return []
+    fields = text.split(",")
+    if any(not v.strip() for v in fields):
+        raise UsageError(f"{flag} has an empty field in {text!r}")
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in fields]
     except ValueError as exc:
         raise UsageError(f"bad number list {text!r}: {exc}") from exc
 
@@ -172,7 +178,7 @@ def _reinstated(spectrum, lambdas_text: str, levels_above: int):
 
     The spectrum must reach ``levels_above`` levels above the n deleted ones.
     """
-    params = IsoParams(_parse_floats(lambdas_text))
+    params = IsoParams(_parse_floats(lambdas_text, "--lambda"))
     n = len(params)
     if spectrum.kmax < n + levels_above:
         least = "n" if levels_above == 1 else f"n + {levels_above - 1}"
@@ -275,7 +281,7 @@ def _initial_condition(cfg, grid) -> GridFunction:
 
 
 def cmd_evolve(cfg) -> int:
-    times = _parse_floats(cfg["times"])
+    times = _parse_floats(cfg["times"], "--times")
     if not times or any(t < 0 for t in times):
         raise UsageError("--times needs non-negative values")
     rule = TemporalRule(alpha=cfg["alpha"])  # classical when alpha is None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import _expansion
-from .grid import GridFunction, _below_floor, _dilate_mask, _stencil, interior_hole_fraction
+from .grid import GridFunction, _below_floor, _dilate_mask, _solve_per_node, _stencil, interior_hole_fraction
 from .spectral import Basis, DriftSpec, Spectrum, _unit_rows, ground_state_to_drift
 
 __all__ = [
@@ -65,9 +65,10 @@ def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray]:
     j = 0..n, with C_n the denominator W[phi_0..phi_{n-1}] (the ground row
     itself at n = 1).  So the ratio is phi_k^(n) + sum_{j<n} a_j phi_k^(j)
     for every k, where by Cramer's rule a_j = C_j / C_n solves
-    sum_j a_j phi_i^(j) = -phi_i^(n), i < n, by LU at each node.  Masked are
-    the nodes where the denominator underflows and the basis mask grown by
-    n stencil footprints.  Returns read-only unit, sign-fixed rows and mask.
+    sum_j a_j phi_i^(j) = -phi_i^(n), i < n.  One elimination per node gives
+    both C_n, from its pivots, and the a_j.  Masked are the nodes where the
+    denominator underflows and the basis mask grown by n stencil footprints;
+    their a_j are zeroed.  Returns read-only unit, sign-fixed rows and mask.
     """
     rows = [basis.values]
     grown = basis.mask
@@ -75,13 +76,11 @@ def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray]:
         rows.append(_stencil(rows[-1], basis.grid.h))
         grown = _dilate_mask(grown)
     rows = np.array(rows)  # (order, state, node)
-    low = rows[:n, :n]
-    den = low[0, 0] if n == 1 else np.linalg.det(low.transpose(2, 0, 1))
+    den, ratios = _solve_per_node(rows[:n, :n].transpose(1, 0, 2), -rows[n, :n])
     bad = _below_floor(den) if grown is None else _below_floor(den) | grown
     if interior_hole_fraction(bad) > MAX_MASKED_FRACTION:
         raise ValueError("denominator Wronskian unreliable on over 5% of the interior: grid too coarse or noisy")
-    system = np.where(bad[:, None, None], np.eye(n), low.transpose(2, 1, 0))
-    ratios = np.linalg.solve(system, -rows[n, :n].T[..., None])[..., 0].T
+    ratios[:, bad] = 0.0
     values = _unit_rows(basis.grid, rows[n, n:] + sum(a * row for a, row in zip(ratios, rows[:n, n:])), bad)
     values.setflags(write=False)
     bad.setflags(write=False)
@@ -92,14 +91,15 @@ def darboux_step(chain: DarbouxChain) -> DarbouxChain:
     """Append one stage: delete the current ground level.
 
     New states are A phi_k = phi_k' - (ln|phi_g|)' phi_k for k above the
-    deleted level: the deletion kernel at n = 1 on the current stage.
-    Energies shift so the new stage ground sits at zero.
+    deleted level: the deletion kernel at n = 1 on the current stage, which
+    at stage 0 is the base spectrum's n = 1 deletion, shared with
+    ``crum_states``.  Energies shift so the new stage ground sits at zero.
     """
     s = chain.n_steps
     stage = chain.stage_states[s]
     if len(stage) < 2:
         raise ValueError("no levels left above the stage ground state")
-    values, mask = _delete_lowest(stage, 1)
+    values, mask = _spectrum_deletion(chain.base, 1) if s == 0 else _delete_lowest(stage, 1)
     energies = chain.base.energies[s + 1 :] - chain.base.energies[s + 1]
     new = Basis(stage.grid, energies, values, mask)
     return DarbouxChain(base=chain.base, stage_states=chain.stage_states + (new,))
@@ -118,13 +118,23 @@ def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
     return chain
 
 
+def _spectrum_deletion(base: Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deletion kernel at n on the base spectrum, kept per (spectrum, n).
+
+    An n whose denominator fails the interior check raises and is not kept.
+    """
+    if n not in base._crum_memo:
+        base._crum_memo[n] = _delete_lowest(base, n)
+    return base._crum_memo[n]
+
+
 def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
     """State phi_k after deleting the lowest n levels, via Wronskian ratios.
 
     phi_k^{(n)} = W[phi_0..phi_{n-1}, phi_k] / W[phi_0..phi_{n-1}]: the
     deletion kernel at n on the base spectrum, in one shot rather than
-    through n steps.  Its rows are kept per (spectrum, n); an n whose
-    denominator fails the interior check raises and is not kept.
+    through n steps.  Its rows are kept per (spectrum, n), and the chain's
+    first stage reads the same n = 1 rows.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -132,9 +142,7 @@ def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
         raise IndexError(f"level {k} is among the deleted ones (n={n})")
     if k > base.kmax:
         raise IndexError(f"level {k} beyond kmax={base.kmax}")
-    if n not in base._crum_memo:
-        base._crum_memo[n] = _delete_lowest(base, n)
-    values, mask = base._crum_memo[n]
+    values, mask = _spectrum_deletion(base, n)
     return GridFunction(base.grid, values[k - n], mask)
 
 

@@ -263,6 +263,40 @@ def _below_floor(v: np.ndarray) -> np.ndarray:
     return absv < floor
 
 
+def _solve_per_node(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det a and the solution x of a x = b at every node, by one elimination.
+
+    ``a`` is (n, n, N), row and column first and the node last, and ``b`` is
+    (n, N).  Gaussian elimination with partial pivoting runs on all N nodes
+    at once, looping over the n columns only; the product of the pivots,
+    signed by the row swaps, is the det, and back substitution gives x,
+    (n, N).  At n = 1, det is a and x is b / a.  A zero pivot heads an
+    all-zero column: it divides as 1, so det is 0 there and x finite but
+    meaningless, as at any node where det is tiny; callers mask those.
+    """
+    a = np.array(a, dtype=float)
+    x = np.array(b, dtype=float)
+    n = len(x)
+    det = np.ones(x.shape[1:])
+    for k in range(n):
+        offset = np.argmax(np.abs(a[k:, k]), axis=0)
+        for r in range(k + 1, n):
+            swap = offset == r - k
+            if swap.any():
+                a[k, k:], a[r, k:] = np.where(swap, a[r, k:], a[k, k:]), np.where(swap, a[k, k:], a[r, k:])
+                x[k], x[r] = np.where(swap, x[r], x[k]), np.where(swap, x[k], x[r])
+                np.negative(det, out=det, where=swap)
+        det *= a[k, k]
+        a[k, k, a[k, k] == 0.0] = 1.0
+        factors = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k + 1 :] -= factors[:, None] * a[k, k + 1 :]
+        x[k + 1 :] -= factors * x[k]
+    for k in reversed(range(n)):
+        x[k] -= np.einsum("jx,jx->x", a[k, k + 1 :], x[k + 1 :])
+        x[k] /= a[k, k]
+    return det, x
+
+
 def divide(num: GridFunction, den: GridFunction) -> GridFunction:
     """Pointwise num/den on one grid, masking nodes where |den| is below the floor.
 

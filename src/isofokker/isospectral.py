@@ -30,7 +30,7 @@ import numpy as np
 
 from .darboux import DarbouxChain
 from .evolve import _expansion
-from .grid import GridFunction, _cumulative_simpson
+from .grid import GridFunction, _cumulative_simpson, _solve_per_node
 from .spectral import Basis, DriftSpec, _unit_rows, ground_state_to_drift
 
 __all__ = [
@@ -88,12 +88,13 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
 
     Forms the running integrals G_jk(x) = int_{c1}^x phi_j phi_k of the
     lowest n base states against every base state, solves
-    M(x) y(x) = (phi_0..phi_{n-1})(x) at all nodes in one batched n x n
-    solve (M = Lambda + G_{:, :n}), and takes phi^_j = y_j for j < n and
-    phi^_k = phi_k - sum_j y_j G_jk for k >= n, each renormalized and
-    sign-fixed.  A parameter in the excluded interval raises ValueError, and
-    so does a det M(x) that changes sign on the grid, which admissible
-    parameters cannot produce.
+    M(x) y(x) = (phi_0..phi_{n-1})(x) with M = Lambda + G_{:, :n} by one
+    elimination over all nodes, whose pivots also give det M(x), and takes
+    phi^_j = y_j for j < n and phi^_k = phi_k - sum_j y_j G_jk for k >= n,
+    each renormalized and sign-fixed.  A parameter in the excluded interval
+    raises ValueError, and so does a det M(x) that changes sign on the grid,
+    which admissible parameters cannot produce; the sign is checked before
+    y is used.
     """
     n = len(params)
     if n > chain.n_steps:
@@ -103,11 +104,9 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
     gram = _cumulative_simpson(phi[:n, None] * phi, base.grid.h)  # (n, kmax+1, nodes)
     for s, lam in enumerate(params.lambdas):
         _check_admissible(lam, float(gram[s, s, -1]), s)
-    M = np.moveaxis(gram[:, :n], -1, 0) + np.diag(params.lambdas)  # (nodes, n, n)
-    det = np.linalg.det(M)
+    det, low = _solve_per_node(gram[:, :n] + np.diag(params.lambdas)[..., None], phi[:n])
     if not (np.all(det > 0.0) or np.all(det < 0.0)):
         raise ValueError("det M(x) changes sign on the grid; the parameter combination is inadmissible")
-    low = np.linalg.solve(M, phi[:n].T[..., None])[..., 0].T
     high = phi[n:] - np.einsum("jx,jkx->kx", low, gram[:, n:])
     values = _unit_rows(base.grid, np.concatenate((low, high)))
     return IsoDeformation(

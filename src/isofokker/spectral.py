@@ -119,7 +119,8 @@ class Spectrum(Basis):
     """
 
     # The Wronskian states and mask of each n asked for, keyed by n (see
-    # darboux.crum_states); safe to keep because the spectrum is frozen.
+    # darboux.crum_states; a chain's first stage reads n = 1); safe to keep
+    # because the spectrum is frozen.
     _crum_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

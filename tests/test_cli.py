@@ -496,11 +496,15 @@ class TestUsageErrors:
             (("ml", "--steps", "1"), "--steps"),
             (("deform", "--lambda", ""), "deformation parameter"),
             (("darboux", "--steps", "4", "--kmax", "3"), "cannot delete 4 levels"),
+            (("deform", "--lambda", "0.5,"), "0.5,"),
+            (("deform", "--lambda", ",0.5"), ",0.5"),
+            (("evolve", "--times", "1,,2"), "1,,2"),
         ],
         ids=[
             "config-unreadable", "grid-two-fields", "grid-not-a-number", "times-not-a-number",
             "times-negative", "csv-drift-missing", "ic-gaussian-one-field", "ic-gaussian-zero-variance",
             "ic-csv-missing", "ic-csv-three-columns", "ml-one-step", "lambda-empty", "darboux-steps-above-kmax",
+            "lambda-trailing-empty-field", "lambda-leading-empty-field", "times-empty-field",
         ],
     )
     def test_exits_one_naming_the_input(self, capsys, tmp_path, argv, needle):

@@ -216,13 +216,30 @@ class TestCrumCofactorExpansion:
         assert 1 not in spec._crum_memo
 
     def test_chain_step_shares_the_guard(self):
-        # the first chain step is the one-level deletion, so it fails the same way
+        # the first chain step is the spectrum's one-level deletion, so it
+        # fails the same way, on every call of either route, and is not kept
         spec = _banded_ground_spectrum()
-        with pytest.raises(ValueError, match="denominator Wronskian") as step:
-            build_chain(spec, 1)
-        with pytest.raises(ValueError) as crum:
-            crum_states(spec, 1, 1)
-        assert str(step.value) == str(crum.value)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="denominator Wronskian") as step:
+                build_chain(spec, 1)
+            with pytest.raises(ValueError) as crum:
+                crum_states(spec, 1, 1)
+            assert str(step.value) == str(crum.value)
+        assert spec._crum_memo == {}
+
+
+class TestOneDeletionPerSpectrum:
+    """A chain's first stage and crum_states(base, 1, .) are one n = 1 deletion of the spectrum."""
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_chain_first_stage_is_the_wronskian_route(self, steps):
+        spec = _spectrum(-12.0, 12.0, lambda x: x**2 / 4.0)
+        chain = build_chain(spec, steps)
+        assert list(spec._crum_memo) == [1]
+        for k in range(1, spec.kmax + 1):
+            crum = crum_states(spec, 1, k)
+            assert np.array_equal(crum.values, chain.state(1, k).values), k
+            assert np.array_equal(crum.unmasked(), chain.state(1, k).unmasked()), k
 
 
 def _banded_ground_spectrum():

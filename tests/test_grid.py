@@ -1,10 +1,13 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from isofokker.grid import (
     GridFunction,
+    _solve_per_node,
     cumulative_integral,
     derivative,
     divide,
@@ -326,3 +329,79 @@ class TestCsv:
         assert sup_norm(f) == pytest.approx(2.0)
         assert sup_norm(f, window=(-1.0, 0.5)) == pytest.approx(1.0)
         assert sup_diff(f, sample(g, lambda x: x + 1.0)) == pytest.approx(1.0)
+
+
+def _nodes_last(stack):
+    """(N, n, n) matrices or (N, n) vectors in the kernel's node-last layout."""
+    return np.moveaxis(stack, 0, -1)
+
+
+class TestSolvePerNode:
+    """The per-node elimination against LAPACK's det and solve."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_numpy_on_well_conditioned_nodes(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.standard_normal((2001, n, n))
+        b = rng.standard_normal((2001, n))
+        a_in, b_in = _nodes_last(a).copy(), _nodes_last(b).copy()
+        det, x = _solve_per_node(a_in, b_in)
+        assert np.array_equal(a_in, _nodes_last(a)) and np.array_equal(b_in, _nodes_last(b))
+        good = np.linalg.cond(a) < 1e2
+        assert good.sum() > 1000
+        ref_det = np.linalg.det(a)[good]
+        ref_x = np.linalg.solve(a, b[..., None])[..., 0][good]
+        assert np.all(np.abs(det[good] - ref_det) <= 1e-12 * np.abs(ref_det))
+        err = np.max(np.abs(x.T[good] - ref_x), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(ref_x), axis=1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_permutation_matrix(self, n):
+        perms = list(itertools.permutations(range(n)))
+        a = np.array([np.eye(n)[list(p)] for p in perms])
+        b = np.arange(1.0, n + 1.0) * np.ones((len(perms), 1))
+        det, x = _solve_per_node(_nodes_last(a), _nodes_last(b))
+        assert np.array_equal(det, np.round(np.linalg.det(a)))
+        assert np.array_equal(x.T, np.einsum("Nji,Nj->Ni", a, b))
+
+    def test_zero_leading_entries(self):
+        a = np.array(
+            [
+                [[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [3.0, 0.0, 1.0]],
+                [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2.0, 5.0, 7.0]],
+            ]
+        )
+        b = np.array([[1.0, -2.0, 0.5], [3.0, 1.0, 4.0]])
+        det, x = _solve_per_node(_nodes_last(a), _nodes_last(b))
+        assert det == pytest.approx(np.linalg.det(a), rel=1e-14)
+        assert x.T == pytest.approx(np.linalg.solve(a, b[..., None])[..., 0], rel=1e-14)
+
+    def test_one_by_one_is_plain_division(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(4001) * np.exp(rng.uniform(-40.0, 40.0, 4001))
+        b = rng.standard_normal(4001)
+        det, x = _solve_per_node(a[None, None], b[None])
+        assert np.array_equal(det, a)
+        assert np.array_equal(x[0], b / a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((3, 3)),
+            np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0], [0.0, -1.0, 4.0]]),
+            np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [-1.0, 0.0, 4.0]]),
+            np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 0.0], [-1.0, 4.0, 0.0]]),
+            np.array([[0.0]]),
+        ],
+        ids=["all-zero", "first-column-zero", "middle-column-zero", "last-column-zero", "one-by-one-zero"],
+    )
+    def test_zero_column_gives_zero_det_without_warning(self, a):
+        n = len(a)
+        stack = np.stack([a, np.eye(n)])
+        b = np.ones((2, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det, x = _solve_per_node(_nodes_last(stack), _nodes_last(b))
+        assert det[0] == 0.0 and det[1] == 1.0
+        assert np.all(np.isfinite(x))
+        assert np.array_equal(x[:, 1], np.ones(n))
