@@ -67,7 +67,8 @@ def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray]:
     for every k, where by Cramer's rule a_j = C_j / C_n solves
     sum_j a_j phi_i^(j) = -phi_i^(n), i < n.  One elimination per node gives
     both C_n, from its pivots, and the a_j.  Masked are the nodes where the
-    denominator underflows and the basis mask grown by n stencil footprints;
+    denominator underflows, the basis mask grown by n stencil footprints
+    and, at n >= 2, the nodes that read a one-sided edge row more than once;
     their a_j are zeroed.  Returns read-only unit, sign-fixed rows and mask.
     """
     rows = [basis.values]
@@ -75,6 +76,12 @@ def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(n):
         rows.append(_stencil(rows[-1], basis.grid.h))
         grown = _dilate_mask(grown)
+    if n >= 2:
+        edges = np.zeros(basis.grid.n_points, dtype=bool)
+        edges[[0, 1, -2, -1]] = True
+        for _ in range(n - 1):
+            edges = _dilate_mask(edges)
+        grown = edges if grown is None else grown | edges
     rows = np.array(rows)  # (order, state, node)
     den, ratios = _solve_per_node(rows[:n, :n].transpose(1, 0, 2), -rows[n, :n])
     bad = _below_floor(den) if grown is None else _below_floor(den) | grown

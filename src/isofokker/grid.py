@@ -113,7 +113,9 @@ class GridFunction:
                 mask.setflags(write=False)
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite values in grid function")
-        values = values.copy()
+        if mask is None:
+            # only unmasked values may still alias the caller's array
+            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)

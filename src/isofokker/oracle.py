@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
+from ._lapack import dgttrf, dgttrs
 from .grid import GridFunction, fill_masked, integrate
 from .mittag import ml_relaxation
 from .spectral import DriftSpec

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
+from ._lapack import dstebz, dstein
 from .grid import (
     Grid1D,
     GridFunction,

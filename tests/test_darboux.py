@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -158,6 +159,20 @@ class TestCrumStates:
             for k in range(n, 8):
                 assert interior_sign_changes(crum_states(ou_spectrum, n, k)) == k - n
 
+    def test_box_masks_nodes_reading_an_edge_row_twice(self):
+        # box states do not decay at the walls, so the division floor leaves
+        # the nodes next to them kept; at n = 2 the one-sided edge rows are
+        # read twice there, and node 1 came out with the wrong sign
+        g = make_grid(0.0, 1.0, 2001)
+        spec = solve_spectrum(build_hamiltonian(box_scenario(g).W), 7)
+        for k in (3, 5, 7):
+            f = crum_states(spec, 2, k)
+            assert f.mask[1], k
+            kept = np.flatnonzero(~f.mask[:12])
+            ref = np.array([_box_ratio(2, k, x) for x in g.x[kept]])
+            scale = np.sign(f.values[713] * _box_ratio(2, k, g.x[713]))
+            assert np.array_equal(np.sign(f.values[kept]), scale * np.sign(ref)), k
+
     def test_index_validation(self, ou_spectrum):
         with pytest.raises(IndexError):
             crum_states(ou_spectrum, 2, 1)
@@ -165,6 +180,19 @@ class TestCrumStates:
             crum_states(ou_spectrum, 1, 8)
         with pytest.raises(ValueError):
             crum_states(ou_spectrum, 0, 1)
+
+
+def _box_ratio(n: int, k: int, x: float) -> float:
+    """Closed-form W[s_0..s_{n-1}, s_k] / W[s_0..s_{n-1}] at x for the box states s_j = sin((j+1) pi x)."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+
+        def wronskian(levels):
+            w = [(j + 1) * mpmath.pi for j in levels]
+            orders = range(len(w))
+            return mpmath.det(mpmath.matrix([[wj**o * mpmath.sin(wj * x + o * mpmath.pi / 2) for wj in w] for o in orders]))
+
+        return float(wronskian([*range(n), k]) / wronskian(range(n)))
 
 
 def _spectrum(c1, c2, prepotential):

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -176,3 +178,48 @@ def test_import_does_not_load_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports the package from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_linalg():
+    assert _fresh_python("import sys, isofokker, isofokker.cli; print('scipy.linalg' in sys.modules)") == "False"
+
+
+_LAPACK_IDENTITY = """
+from scipy.linalg import lapack
+from isofokker import build_hamiltonian, make_grid, ou_scenario, solve_spectrum
+called = [(spectral, "dstebz"), (spectral, "dstein"), (oracle, "dgttrf"), (oracle, "dgttrs")]
+assert all(getattr(module, name) is getattr(lapack, name) for module, name in called)
+print(solve_spectrum(build_hamiltonian(ou_scenario(make_grid(-8.0, 8.0, 201)).W), 3).energies.tolist())
+"""
+
+
+@pytest.mark.parametrize(
+    "imports",
+    [
+        "import scipy.linalg\nimport isofokker.oracle as oracle, isofokker.spectral as spectral",
+        "import sys, isofokker.oracle as oracle, isofokker.spectral as spectral\n"
+        "assert 'scipy.linalg' not in sys.modules\nimport scipy.linalg",
+    ],
+    ids=["scipy-linalg-first", "isofokker-first"],
+)
+def test_lapack_routines_are_scipys_in_either_import_order(imports):
+    energies = solve_spectrum(build_hamiltonian(ou_scenario(make_grid(-8.0, 8.0, 201)).W), 3).energies
+    assert _fresh_python(imports + _LAPACK_IDENTITY) == str(energies.tolist())
+
+
+def test_lapack_loader_names_the_wrapper_it_did_not_find(monkeypatch, tmp_path):
+    import isofokker._lapack as lapack
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(lapack, "scipy", types.SimpleNamespace(__path__=[str(tmp_path)]))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        lapack._load()
