@@ -63,8 +63,8 @@ print(f"  max abs difference:          {np.max(np.abs(resolved - reference)):.2e
 # U^ = U - 2 ln|phi^_0/phi_0|: both ground states vanish at the walls, and
 # their ratio stays smooth there
 U_deformed = U + 2.0 * ground_state_to_drift(divide(deformation.state(0), spectrum.state(0))).W
-keep = U_deformed.unmasked()
-print(f"  deformed thermal potential spans [{U_deformed.values[keep].min():.3f}, "
-      f"{U_deformed.values[keep].max():.3f}] over the window")
+a, z = U_deformed.support
+print(f"  deformed thermal potential spans [{U_deformed.values[a:z].min():.3f}, "
+      f"{U_deformed.values[a:z].max():.3f}] over the window")
 print("  (whether such a potential corresponds to any black-hole family is a "
       "physics question this package does not answer)")

@@ -264,7 +264,7 @@ def _initial_condition(cfg, grid) -> GridFunction:
         path = spec[4:]
         try:
             columns = read_csv_columns(path)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read IC file {path}: {exc}") from exc
         if len(columns) != 2:
             raise UsageError(f"{path}: IC CSV must have two columns (x, P)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import _expansion
-from .grid import GridFunction, _below_floor, _dilate_mask, _solve_per_node, _stencil, interior_hole_fraction
+from .grid import GridFunction, _peak_run, _shrunk, _solve_per_node, _stencil
 from .spectral import Basis, DriftSpec, Spectrum, _unit_rows, ground_state_to_drift
 
 __all__ = [
@@ -28,11 +28,6 @@ __all__ = [
     "partner_drift",
     "partner_pdf",
 ]
-
-# A deletion masked on more than this fraction of the interior, not counting
-# the wall-attached decaying tails, signals a vanishing denominator or runaway
-# mask contamination from repeated differentiation.
-MAX_MASKED_FRACTION = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,40 +53,40 @@ class DarbouxChain:
         return self.stage_states[s].state(k - s)
 
 
-def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows k >= n of ``basis`` with its lowest n levels deleted, and their one mask.
+def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Rows k >= n of ``basis`` with its lowest n levels deleted, and their one support.
 
     Along its phi_k column W[phi_0..phi_{n-1}, phi_k] = sum_j C_j phi_k^(j),
     j = 0..n, with C_n the denominator W[phi_0..phi_{n-1}] (the ground row
     itself at n = 1).  So the ratio is phi_k^(n) + sum_{j<n} a_j phi_k^(j)
     for every k, where by Cramer's rule a_j = C_j / C_n solves
     sum_j a_j phi_i^(j) = -phi_i^(n), i < n.  One elimination per node gives
-    both C_n, from its pivots, and the a_j.  Masked are the nodes where the
-    denominator underflows, the basis mask grown by n stencil footprints
-    and, at n >= 2, the nodes that read a one-sided edge row more than once;
-    their a_j are zeroed.  Returns read-only unit, sign-fixed rows and mask.
+    both C_n, from its pivots, and the a_j.  The support is the basis's,
+    shrunk by n stencil widths and, at n >= 2, clear of the 2n nodes a side
+    that read a one-sided edge row more than once; within it, the run around
+    the peak of the denominator where it clears the floor (``grid._peak_run``,
+    which raises if the denominator has a zero inside).  Returns read-only
+    unit, sign-fixed rows, 0 outside the support, and the support.
     """
+    grid = basis.grid
     rows = [basis.values]
-    grown = basis.mask
+    support = basis.support
     for _ in range(n):
-        rows.append(_stencil(rows[-1], basis.grid.h))
-        grown = _dilate_mask(grown)
+        rows.append(_stencil(rows[-1], grid.h))
+        support = _shrunk(support, grid.n_points)
     if n >= 2:
-        edges = np.zeros(basis.grid.n_points, dtype=bool)
-        edges[[0, 1, -2, -1]] = True
-        for _ in range(n - 1):
-            edges = _dilate_mask(edges)
-        grown = edges if grown is None else grown | edges
+        support = (max(support[0], 2 * n), min(support[1], grid.n_points - 2 * n))
     rows = np.array(rows)  # (order, state, node)
     den, ratios = _solve_per_node(rows[:n, :n].transpose(1, 0, 2), -rows[n, :n])
-    bad = _below_floor(den) if grown is None else _below_floor(den) | grown
-    if interior_hole_fraction(bad) > MAX_MASKED_FRACTION:
-        raise ValueError("denominator Wronskian unreliable on over 5% of the interior: grid too coarse or noisy")
-    ratios[:, bad] = 0.0
-    values = _unit_rows(basis.grid, rows[n, n:] + sum(a * row for a, row in zip(ratios, rows[:n, n:])), bad)
+    try:
+        a, z = _peak_run(den, support)
+    except ValueError as exc:
+        raise ValueError(f"denominator Wronskian unreliable: {exc}") from exc
+    values = np.zeros(rows[n, n:].shape)
+    values[:, a:z] = rows[n, n:, a:z] + sum(c * row for c, row in zip(ratios[:, a:z], rows[:n, n:, a:z]))
+    values = _unit_rows(grid, values)
     values.setflags(write=False)
-    bad.setflags(write=False)
-    return values, bad
+    return values, (a, z)
 
 
 def darboux_step(chain: DarbouxChain) -> DarbouxChain:
@@ -106,9 +101,9 @@ def darboux_step(chain: DarbouxChain) -> DarbouxChain:
     stage = chain.stage_states[s]
     if len(stage) < 2:
         raise ValueError("no levels left above the stage ground state")
-    values, mask = _spectrum_deletion(chain.base, 1) if s == 0 else _delete_lowest(stage, 1)
+    values, support = _spectrum_deletion(chain.base, 1) if s == 0 else _delete_lowest(stage, 1)
     energies = chain.base.energies[s + 1 :] - chain.base.energies[s + 1]
-    new = Basis(stage.grid, energies, values, mask)
+    new = Basis(stage.grid, energies, values, support)
     return DarbouxChain(base=chain.base, stage_states=chain.stage_states + (new,))
 
 
@@ -118,17 +113,17 @@ def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
         raise ValueError("n_steps must be at least 1")
     if n_steps > base.kmax:
         raise ValueError(f"cannot delete {n_steps} levels with kmax={base.kmax}")
-    stage0 = Basis(base.grid, base.energies - base.energies[0], base.values, base.mask)
+    stage0 = Basis(base.grid, base.energies - base.energies[0], base.values, base.support)
     chain = DarbouxChain(base=base, stage_states=(stage0,))
     for _ in range(n_steps):
         chain = darboux_step(chain)
     return chain
 
 
-def _spectrum_deletion(base: Spectrum, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _spectrum_deletion(base: Spectrum, n: int) -> tuple[np.ndarray, tuple[int, int]]:
     """The deletion kernel at n on the base spectrum, kept per (spectrum, n).
 
-    An n whose denominator fails the interior check raises and is not kept.
+    An n whose denominator has a zero inside raises and is not kept.
     """
     if n not in base._crum_memo:
         base._crum_memo[n] = _delete_lowest(base, n)
@@ -149,8 +144,8 @@ def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
         raise IndexError(f"level {k} is among the deleted ones (n={n})")
     if k > base.kmax:
         raise IndexError(f"level {k} beyond kmax={base.kmax}")
-    values, mask = _spectrum_deletion(base, n)
-    return GridFunction(base.grid, values[k - n], mask)
+    values, support = _spectrum_deletion(base, n)
+    return GridFunction(base.grid, values[k - n], support)
 
 
 def partner_drift(chain: DarbouxChain, stage: int | None = None) -> DriftSpec:

@@ -95,13 +95,13 @@ def project(P0: GridFunction, spectrum: Spectrum) -> np.ndarray:
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"initial density mass {mass} is not 1 within 1e-6")
     ratio = divide(P0, spectrum.state(0))
-    if ratio.mask is not None:
-        lost = np.abs(vals[ratio.mask])
-        if lost.size and np.max(lost) > 1e-8 * np.max(np.abs(vals)):
-            raise ValueError(
-                "initial density has heavier tails than the stationary density; "
-                "phi_0^{-1} P0 blows up near the walls"
-            )
+    a, z = ratio.support
+    lost = np.abs(np.concatenate((vals[:a], vals[z:])))
+    if np.max(lost, initial=0.0) > 1e-8 * np.max(np.abs(vals)):
+        raise ValueError(
+            "initial density has heavier tails than the stationary density; "
+            "phi_0^{-1} P0 blows up near the walls"
+        )
     return spectrum.values @ (simpson_weights(P0.grid) * ratio.values)
 
 
@@ -111,8 +111,8 @@ def _expansion(basis: Basis, coeffs, t: float, temporal: TemporalRule | None, no
     The one entry of every density: checks that ``coeffs`` fit the basis,
     takes the temporal factors tau_k of the basis energies from
     ``temporal`` (classical when None), and forms one product of the
-    weights c_k tau_k with the first len(coeffs) rows, masked on the
-    basis's mask, where every row is 0 and so carries no mass.  With
+    weights c_k tau_k with the first len(coeffs) rows, on the basis's
+    support, outside which every row is 0 and so carries no mass.  With
     ``normalize`` the density is scaled to unit mass.
     """
     coeffs = np.asarray(coeffs, dtype=float)
@@ -125,7 +125,7 @@ def _expansion(basis: Basis, coeffs, t: float, temporal: TemporalRule | None, no
         if abs(mass) < 1e-12:
             raise ValueError("expansion carries (near-)zero total mass; cannot normalize")
         values = values / mass
-    return GridFunction(basis.grid, values, basis.mask)
+    return GridFunction(basis.grid, values, basis.support)
 
 
 def evolve_pdf(sol: FpeSolution, t: float) -> GridFunction:

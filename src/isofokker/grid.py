@@ -1,15 +1,17 @@
 """Uniform 1-D grids with Simpson quadrature and 4th-order finite differences.
 
-Functions are carried as node samples on a fixed grid.  A boolean
-reliability mask travels with every sampled function: nodes where a
-division or logarithmic derivative could not be trusted (e.g. near a
-zero of the denominator) are flagged and their stored values zeroed,
-and downstream sup-norm comparisons skip them.
+Functions are carried as node samples on a fixed grid.  Every sampled
+function carries one support interval, the half-open node range (a, z)
+where it can be trusted.  A division trusts the run of nodes around the
+peak of its denominator where the denominator clears the floor, and a
+derivative trusts no node whose stencil reads a node outside the support.
+Values outside the support are stored as 0, and sup-norm comparisons
+skip those nodes.  This module alone decides how a support changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +36,8 @@ __all__ = [
 
 # Relative threshold below which |f| is considered too small to divide by.
 DEFAULT_FLOOR_FRACTION = 1e-12
-# Relative amplitude below which interior_sign_changes does not count a sign change.
+# Relative amplitude below which interior_sign_changes does not count a sign
+# change, and above which a node cut off a division's support means a zero inside.
 SIGN_FLOOR_FRACTION = 1e-6
 
 
@@ -83,94 +86,73 @@ class Grid1D:
 class GridFunction:
     """Real-valued samples of a function on a Grid1D.
 
-    ``mask`` marks unreliable nodes (True = unreliable); masked entries of
-    ``values`` are always stored as 0 so that quadrature over a masked
-    decaying tail stays harmless.
+    ``support`` is the half-open node range (a, z) of reliable samples,
+    the whole grid (0, N) unless given; the values outside it are always
+    stored as 0, so that quadrature over an unreliable decaying tail stays
+    harmless.
     """
 
     grid: Grid1D
     values: np.ndarray
-    mask: np.ndarray | None = field(default=None)
+    support: tuple[int, int] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid ({self.grid.n_points},)"
-            )
-        mask = self.mask
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != values.shape:
-                raise ValueError("mask shape does not match values")
-            if mask.all():
-                raise ValueError("function is unreliable on every node")
-            if not mask.any():
-                mask = None
-            else:
-                values = np.where(mask, 0.0, values)
-                mask = mask.copy()
-                mask.setflags(write=False)
+        values = np.array(self.values, dtype=float)
+        n = self.grid.n_points
+        if values.shape != (n,):
+            raise ValueError(f"values shape {values.shape} does not match grid ({n},)")
+        a, z = (0, n) if self.support is None else self.support
+        if not 0 <= a < z <= n:
+            raise ValueError(f"function is unreliable on every node: support ({a}, {z}) of {n} nodes")
+        values[:a] = values[z:] = 0.0
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite values in grid function")
-        if mask is None:
-            # only unmasked values may still alias the caller's array
-            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "support", (a, z))
 
-    # -- plain pointwise algebra; masks propagate by union ------------------
+    # -- plain pointwise algebra; supports intersect -------------------------
 
-    def _combined_mask(self, other) -> np.ndarray | None:
-        om = other.mask if isinstance(other, GridFunction) else None
-        if self.mask is None:
-            return om
-        if om is None:
-            return self.mask
-        return self.mask | om
-
-    def _other_values(self, other) -> np.ndarray:
-        if isinstance(other, GridFunction):
-            if other.grid is not self.grid and (
-                other.grid.c1 != self.grid.c1
-                or other.grid.c2 != self.grid.c2
-                or other.grid.n_points != self.grid.n_points
-            ):
-                raise ValueError("grid functions live on different grids")
-            return other.values
-        return np.asarray(other, dtype=float)
+    def _other(self, other) -> tuple[np.ndarray, tuple[int, int]]:
+        """The values of ``other`` and the intersection of both supports."""
+        if not isinstance(other, GridFunction):
+            return np.asarray(other, dtype=float), self.support
+        if other.grid is not self.grid and (
+            other.grid.c1 != self.grid.c1
+            or other.grid.c2 != self.grid.c2
+            or other.grid.n_points != self.grid.n_points
+        ):
+            raise ValueError("grid functions live on different grids")
+        (a, z), (oa, oz) = self.support, other.support
+        return other.values, (max(a, oa), min(z, oz))
 
     def __add__(self, other):
-        return GridFunction(self.grid, self.values + self._other_values(other), self._combined_mask(other))
+        values, support = self._other(other)
+        return GridFunction(self.grid, self.values + values, support)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return GridFunction(self.grid, self.values - self._other_values(other), self._combined_mask(other))
+        values, support = self._other(other)
+        return GridFunction(self.grid, self.values - values, support)
 
     def __mul__(self, other):
-        return GridFunction(self.grid, self.values * self._other_values(other), self._combined_mask(other))
+        values, support = self._other(other)
+        return GridFunction(self.grid, self.values * values, support)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, GridFunction):
             return divide(self, other)
-        return GridFunction(self.grid, self.values / float(other), self.mask)
+        return GridFunction(self.grid, self.values / float(other), self.support)
 
     def __rtruediv__(self, other):
         num = GridFunction(self.grid, np.full(self.grid.n_points, float(other)))
         return divide(num, self)
 
     def __neg__(self):
-        return GridFunction(self.grid, -self.values, self.mask)
-
-    def unmasked(self) -> np.ndarray:
-        """Boolean index of reliable nodes."""
-        if self.mask is None:
-            return np.ones(self.grid.n_points, dtype=bool)
-        return ~self.mask
+        return GridFunction(self.grid, -self.values, self.support)
 
 
 def make_grid(c1: float, c2: float, n_points: int) -> Grid1D:
@@ -200,8 +182,8 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     agrees with :func:`integrate` to round-off); odd nodes add the quadratic
     half-panel (h/12)(5 f_{2j} + 8 f_{2j+1} - f_{2j+2}).
 
-    The result carries no mask: all in-package uses integrate functions whose
-    masked tails were zeroed and genuinely negligible.
+    The result spans the whole grid: all in-package uses integrate functions
+    whose tails outside the support are stored as 0 and genuinely negligible.
     """
     return GridFunction(f.grid, _cumulative_simpson(f.values, f.grid.h))
 
@@ -220,24 +202,14 @@ _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
 
 
-def _dilate_mask(mask: np.ndarray | None) -> np.ndarray | None:
-    """Grow a mask by the differentiation stencil footprint."""
-    if mask is None:
-        return None
-    out = mask.copy()
-    for shift in (1, 2):
-        out[shift:] |= mask[:-shift]
-        out[:-shift] |= mask[shift:]
-    # boundary rows consume the five outermost nodes outright
-    if mask[:5].any():
-        out[:2] = True
-    if mask[-5:].any():
-        out[-2:] = True
-    return out
-
-
 def _stencil(v: np.ndarray, h: float) -> np.ndarray:
-    """The :func:`derivative` stencil along the last axis of samples ``v`` (one row or a stack)."""
+    """The :func:`derivative` stencil along the last axis of samples ``v`` (one row or a stack).
+
+    Every row of it, the one-sided edge rows included, reads 5 nodes, so
+    fewer samples raise ValueError.
+    """
+    if v.shape[-1] < 5:
+        raise ValueError(f"the 4th-order derivative stencil reads 5 nodes; got {v.shape[-1]} samples")
     out = np.empty_like(v)
     out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
     out[..., 0] = v[..., :5] @ _EDGE0 / (12.0 * h)
@@ -247,22 +219,51 @@ def _stencil(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _shrunk(support: tuple[int, int], n_points: int) -> tuple[int, int]:
+    """The support of a derivative: each cut side moves in by the stencil half-width 2.
+
+    A side at the wall stays, because the one-sided edge rows read only
+    reliable nodes there.
+    """
+    a, z = support
+    return (a + 2 if a > 0 else 0, z - 2 if z < n_points else n_points)
+
+
 def derivative(f: GridFunction) -> GridFunction:
     """4th-order first derivative: centered 5-point stencil inside, one-sided at the edges."""
-    return GridFunction(f.grid, _stencil(f.values, f.grid.h), _dilate_mask(f.mask))
+    return GridFunction(f.grid, _stencil(f.values, f.grid.h), _shrunk(f.support, f.grid.n_points))
 
 
-def _below_floor(v: np.ndarray) -> np.ndarray:
-    """Nodes where |v| < DEFAULT_FLOOR_FRACTION * max|v|, too small to divide by.
+def _peak_run(den: np.ndarray, support: tuple[int, int]) -> tuple[int, int]:
+    """The run of nodes in ``support`` around the peak of |den| where den clears the floor.
 
-    The floor suits denominators that decay from an O(1) peak, such as
-    eigenstates.  Raises if v vanishes on every node.
+    The floor is DEFAULT_FLOOR_FRACTION * max|den|, which suits
+    denominators that decay from an O(1) peak, such as eigenstates: the
+    run ends where den underflows in a decaying tail.  A node of
+    ``support`` cut off the run that still holds |den| above
+    SIGN_FLOOR_FRACTION * max|den| means that den has a zero inside, and
+    raises ValueError, as does a den below the floor on every node of
+    ``support``.
     """
-    absv = np.abs(v)
-    floor = DEFAULT_FLOOR_FRACTION * np.max(absv)
+    absv = np.abs(den)
+    peak = absv.max()
+    floor = DEFAULT_FLOOR_FRACTION * peak
     if floor == 0.0:
         raise ValueError("denominator vanishes on every node")
-    return absv < floor
+    a, z = support
+    inner = absv[a:z]
+    if z <= a or inner.max() < floor:
+        raise ValueError("denominator below floor on every node")
+    low = np.flatnonzero(inner < floor)
+    i = low.searchsorted(inner.argmax())
+    start, stop = (low[i - 1] + 1 if i > 0 else 0), (low[i] if i < len(low) else len(inner))
+    cut = max(inner[:start].max(initial=0.0), inner[stop:].max(initial=0.0))
+    if cut > SIGN_FLOOR_FRACTION * peak:
+        raise ValueError(
+            f"denominator has a zero inside: {cut / peak:.3g} of its peak lies beyond "
+            f"the nodes {a + start}..{a + stop - 1} around the peak where it clears the floor"
+        )
+    return a + int(start), a + int(stop)
 
 
 def _solve_per_node(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +275,7 @@ def _solve_per_node(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     signed by the row swaps, is the det, and back substitution gives x,
     (n, N).  At n = 1, det is a and x is b / a.  A zero pivot heads an
     all-zero column: it divides as 1, so det is 0 there and x finite but
-    meaningless, as at any node where det is tiny; callers mask those.
+    meaningless, as at any node where det is tiny; callers cut those off.
     """
     a = np.array(a, dtype=float)
     x = np.array(b, dtype=float)
@@ -300,79 +301,65 @@ def _solve_per_node(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def divide(num: GridFunction, den: GridFunction) -> GridFunction:
-    """Pointwise num/den on one grid, masking nodes where |den| is below the floor.
+    """Pointwise num/den on one grid, supported on the run of nodes around the peak of |den|.
 
-    Raises if the operands live on different grids, if the denominator
-    vanishes, or if every node is below the floor or masked.
+    The run lies within both supports and ends where |den| falls below
+    the floor (see ``_peak_run``).  Raises if the operands live on
+    different grids, if the denominator vanishes, if it is below the floor
+    on every node of both supports, or if it has a zero inside them.
     """
-    dv = num._other_values(den)
-    bad = _below_floor(dv) | ~num.unmasked() | ~den.unmasked()
-    if bad.all():
-        raise ValueError("denominator below floor on every node")
-    out = np.where(bad, 0.0, num.values / np.where(bad, 1.0, dv))
-    return GridFunction(num.grid, out, bad)
+    dv, support = num._other(den)
+    a, z = _peak_run(dv, support)
+    out = np.zeros(num.grid.n_points)
+    out[a:z] = num.values[a:z] / dv[a:z]
+    return GridFunction(num.grid, out, (a, z))
 
 
 def log_derivative(f: GridFunction) -> GridFunction:
-    """(ln|f|)' = f'/f with nodes where |f| is below the floor masked out.
+    """(ln|f|)' = f'/f on the run of nodes around the peak of |f| where |f| clears the floor.
 
-    Raises if |f| sits below that floor everywhere.
+    Raises if |f| sits below that floor everywhere, or if f has a zero inside.
     """
     return divide(derivative(f), f)
 
 
 def sup_norm(f: GridFunction, window: tuple[float, float] | None = None) -> float:
-    """Max |f| over reliable nodes, optionally restricted to x in [a, b]."""
-    keep = f.unmasked()
+    """Max |f| over its support, optionally restricted to x in [a, b]."""
+    a, z = f.support
+    vals = f.values[a:z]
     if window is not None:
-        x = f.grid.x
-        keep = keep & (x >= window[0]) & (x <= window[1])
-    if not keep.any():
+        x = f.grid.x[a:z]
+        vals = vals[(x >= window[0]) & (x <= window[1])]
+    if not vals.size:
         raise ValueError("no reliable nodes in requested window")
-    return float(np.max(np.abs(f.values[keep])))
+    return float(np.max(np.abs(vals)))
 
 
 def sup_diff(f: GridFunction, g: GridFunction, window: tuple[float, float] | None = None) -> float:
-    """Sup-norm distance between two grid functions, skipping masked nodes of either."""
+    """Sup-norm distance between two grid functions, over the intersection of their supports."""
     return sup_norm(f - g, window)
 
 
-def fill_masked(f: GridFunction) -> np.ndarray:
-    """Values of f with masked samples replaced by interpolation from reliable neighbors.
+def hold_edges(f: GridFunction) -> np.ndarray:
+    """Values of f with the value at each end of its support held beyond it.
 
-    Masked bands only occur in decaying tails here, where the nearest
-    reliable value is a harmless stand-in (for a confining potential or a
-    drift alike).
+    Supports end only in decaying tails here, where the edge value is a
+    harmless stand-in (for a confining potential or a drift alike).
     """
-    if f.mask is None:
-        return f.values
-    x = f.grid.x
-    ok = ~f.mask
-    return np.interp(x, x[ok], f.values[ok])
-
-
-def interior_hole_fraction(bad: np.ndarray) -> float:
-    """Fraction of interior nodes flagged bad, ignoring the wall-attached bands.
-
-    Decaying states legitimately underflow the division floor in contiguous
-    bands at the two walls; flagged nodes in the bulk are the actual sign of
-    a degenerate construction.
-    """
-    bad = np.asarray(bad, dtype=bool)
-    good = np.flatnonzero(~bad)
-    if len(good) == 0:
-        return 0.0
-    holes = int(np.count_nonzero(bad[good[0] : good[-1] + 1]))
-    return holes / max(len(bad) - 2, 1)
+    a, z = f.support
+    held = f.values.copy()
+    held[:a], held[z:] = held[a], held[z - 1]
+    return held
 
 
 def interior_sign_changes(f: GridFunction) -> int:
-    """Count sign changes of f across reliable nodes with |f| above SIGN_FLOOR_FRACTION * max|f|.
+    """Count sign changes of f across nodes with |f| above SIGN_FLOOR_FRACTION * max|f|.
 
     Tiny-amplitude wiggle (round-off around genuine zeros or in decaying
-    tails) does not count as a node.
+    tails) does not count as a node, nor does a node outside the support,
+    where f is stored as 0.
     """
-    keep = f.unmasked() & (np.abs(f.values) > SIGN_FLOOR_FRACTION * np.max(np.abs(f.values)))
+    keep = np.abs(f.values) > SIGN_FLOOR_FRACTION * np.max(np.abs(f.values))
     signs = np.sign(f.values[keep])
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -390,7 +377,8 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
     """Read a CSV written by :func:`write_csv` (or any numeric CSV) as named columns.
 
     A first row that is not all numbers is the header; a headerless file's
-    columns are named col0, col1, ...  Every entry must be finite.
+    columns are named col0, col1, ...  At least one data row must follow,
+    and every entry must be finite.
     """
     with open(path) as fh:
         names = [n.strip() for n in fh.readline().strip().split(",")]
@@ -401,7 +389,10 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
         else:
             fh.seek(0)
             names = [f"col{i}" for i in range(len(names))]
-        data = np.genfromtxt(fh, delimiter=",")
+        rows = [line for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.genfromtxt(rows, delimiter=",")
     if data.ndim == 1:
         data = data.reshape(-1, len(names))
     if data.shape[1] != len(names):

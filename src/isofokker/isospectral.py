@@ -113,7 +113,7 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         grid=base.grid,
         energies=base.energies,
         values=values,
-        mask=None,
+        support=(0, base.grid.n_points),
         chain=chain,
         drift=ground_state_to_drift(GridFunction(base.grid, values[0])),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dgttrf, dgttrs
-from .grid import GridFunction, fill_masked, integrate
+from .grid import GridFunction, hold_edges, integrate
 from .mittag import ml_relaxation
 from .spectral import DriftSpec
 
@@ -52,7 +52,7 @@ def _flux_operator(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     grid = drift.grid
     h = grid.h
     n = grid.n_points
-    d = fill_masked(drift.D)
+    d = hold_edges(drift.D)
     dh = 0.5 * (d[:-1] + d[1:])
     lower = np.zeros(n)
     diag = np.zeros(n)

@@ -18,9 +18,9 @@ from ._lapack import dstebz, dstein
 from .grid import (
     Grid1D,
     GridFunction,
-    _below_floor,
+    _peak_run,
     derivative,
-    fill_masked,
+    hold_edges,
     interior_sign_changes,
     log_derivative,
     simpson_weights,
@@ -73,37 +73,34 @@ class Basis:
 
     ``values`` holds the states as one read-only (k, N) array and
     ``energies`` their k levels.  Every state of a basis shares the one
-    read-only ``mask`` (None when no node is unreliable), where its rows
-    are stored as 0.  ``state(k)`` and ``states`` build grid functions on
+    ``support``, the half-open node range (a, z) as in ``GridFunction``
+    ((0, N) when every node is reliable), outside which its rows are
+    stored as 0.  ``state(k)`` and ``states`` build grid functions on
     demand.
     """
 
     grid: Grid1D
     energies: np.ndarray
     values: np.ndarray
-    mask: np.ndarray | None
+    support: tuple[int, int]
 
     def __post_init__(self):
         energies = np.array(self.energies, dtype=float)
         values = np.array(self.values, dtype=float)
         if values.shape != (len(energies), self.grid.n_points):
             raise ValueError(f"values shape {values.shape} is not {(len(energies), self.grid.n_points)}")
-        mask = None
-        if self.mask is not None and np.any(self.mask):
-            mask = np.array(self.mask, dtype=bool)
-            mask.setflags(write=False)
-            values[:, mask] = 0.0
+        a, z = self.support
+        values[:, :a] = values[:, z:] = 0.0
         energies.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
 
     def __len__(self) -> int:
         return len(self.energies)
 
     def state(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[k], self.mask)
+        return GridFunction(self.grid, self.values[k], self.support)
 
     @property
     def states(self) -> tuple[GridFunction, ...]:
@@ -118,7 +115,7 @@ class Spectrum(Basis):
     (phi_k'(c1) > 0), which makes downstream chains reproducible run to run.
     """
 
-    # The Wronskian states and mask of each n asked for, keyed by n (see
+    # The Wronskian states and support of each n asked for, keyed by n (see
     # darboux.crum_states; a chain's first stage reads n = 1); safe to keep
     # because the spectrum is frozen.
     _crum_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -153,11 +150,9 @@ def sign_fixed(f: GridFunction) -> GridFunction:
     return -f if _leads_negative(f.values) else f
 
 
-def _unit_rows(grid: Grid1D, rows, mask: np.ndarray | None = None) -> np.ndarray:
-    """``sign_fixed(normalized(GridFunction(grid, row, mask)))`` for every row, as one (k, N) array."""
+def _unit_rows(grid: Grid1D, rows) -> np.ndarray:
+    """``sign_fixed(normalized(GridFunction(grid, row)))`` for every row, as one (k, N) array."""
     v = np.array(rows, dtype=float, ndmin=2)
-    if mask is not None:
-        v[:, mask] = 0.0
     v /= np.array([_l2_norm(grid, row) for row in v])[:, None]
     v[_leads_negative(v)] *= -1.0
     return v
@@ -172,7 +167,7 @@ def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
     w1 = derivative(W)
     w2 = derivative(w1)
     V = w1 * w1 - w2
-    vals = fill_masked(V)
+    vals = hold_edges(V)
     if not np.all(np.isfinite(vals)):
         raise ValueError("potential W'^2 - W'' is not finite on the grid")
     V = GridFunction(W.grid, vals)
@@ -259,19 +254,20 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
         raise RuntimeError("eigenvalues not strictly increasing; resolution too coarse")
     full = np.zeros((kmax + 1, n))
     full[:, 1:-1] = vectors.T
-    return Spectrum(op.grid, energies, _unit_rows(op.grid, full), None)
+    return Spectrum(op.grid, energies, _unit_rows(op.grid, full), (0, n))
 
 
 def ground_state_to_drift(phi0: GridFunction) -> DriftSpec:
     """Recover the drift of the process whose stationary density is phi0^2.
 
     D = 2 (ln|phi0|)' and W = -ln phi0, so that phi0 = e^{-W}.  The state
-    must be node-free in the interior.
+    must be node-free in the interior.  W is supported where the division
+    by phi0 is (see ``grid.divide``), and D within that by the stencil.
     """
     if interior_sign_changes(phi0) > 0:
         raise ValueError("ground state has interior zeros; not a valid stationary state")
     D = 2.0 * log_derivative(phi0)
-    floor_mask = ~phi0.unmasked() | _below_floor(phi0.values)
-    safe = np.where(floor_mask, 1.0, np.abs(phi0.values))
-    W = GridFunction(phi0.grid, np.where(floor_mask, 0.0, -np.log(safe)), floor_mask)
-    return DriftSpec(W=W, D=D)
+    a, z = _peak_run(phi0.values, phi0.support)
+    W = np.zeros(phi0.grid.n_points)
+    W[a:z] = -np.log(np.abs(phi0.values[a:z]))
+    return DriftSpec(W=GridFunction(phi0.grid, W, (a, z)), D=D)

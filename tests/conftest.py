@@ -117,11 +117,25 @@ def wronskian_reference(states) -> np.ndarray:
     return np.linalg.det(mat)
 
 
+def outside(f) -> np.ndarray:
+    """Boolean mask of the nodes outside the support of f."""
+    a, z = f.support
+    bad = np.ones(f.grid.n_points, dtype=bool)
+    bad[a:z] = False
+    return bad
+
+
+def span(bad) -> tuple[int, int]:
+    """The support (first, last + 1) of the nodes that a boolean mask keeps."""
+    good = np.flatnonzero(~np.asarray(bad))
+    return int(good[0]), int(good[-1]) + 1
+
+
 def _floored_ratio(num, den, floor: float):
-    """num/den, masked where |den| < floor or either input is masked."""
-    bad = (np.abs(den.values) < floor) | ~num.unmasked() | ~den.unmasked()
+    """num/den, masked where |den| < floor or outside either support; masked nodes hold 0."""
+    bad = (np.abs(den.values) < floor) | outside(num) | outside(den)
     vals = np.where(bad, 0.0, num.values / np.where(bad, 1.0, den.values))
-    return GridFunction(num.grid, vals, bad)
+    return GridFunction(num.grid, vals, span(bad))
 
 
 def _peak_floor(f) -> float:
@@ -131,7 +145,8 @@ def _peak_floor(f) -> float:
 
 def _wide_floor(f) -> float:
     """Division floor relative to the smallest reliable magnitude of f, for functions spanning decades."""
-    vals = np.abs(f.values[f.unmasked()])
+    a, z = f.support
+    vals = np.abs(f.values[a:z])
     return 1e-12 * float(np.min(vals[vals > 0.0]))
 
 
@@ -183,10 +198,13 @@ def reinstate_reference(chain, lambdas) -> list:
 
 
 def crum_reference(base, n: int, k: int):
-    """phi_k after deleting n levels as the full Wronskian ratio, masked where the denominator underflows."""
+    """phi_k after deleting n levels as the full Wronskian ratio, masked where the denominator underflows.
+
+    Masked nodes hold 0, and the support spans the unmasked ones.
+    """
     lowest = [base.state(i) for i in range(n)]
     num = wronskian_reference(lowest + [base.state(k)])
     den = wronskian_reference(lowest)
     bad = np.abs(den) < 1e-12 * np.max(np.abs(den))
     vals = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
-    return sign_fixed(normalized(GridFunction(base.grid, vals, bad)))
+    return sign_fixed(normalized(GridFunction(base.grid, vals, span(bad))))

@@ -499,16 +499,23 @@ class TestUsageErrors:
             (("deform", "--lambda", "0.5,"), "0.5,"),
             (("deform", "--lambda", ",0.5"), ",0.5"),
             (("evolve", "--times", "1,,2"), "1,,2"),
+            (("spectrum", "--scenario", "csv:{tmp}/header.csv"), "header.csv: no data rows"),
+            (("evolve", "--ic", "csv:{tmp}/header.csv"), "header.csv: no data rows"),
+            (("spectrum", "--scenario", "csv:{tmp}/short.csv"), "stencil reads 5 nodes"),
         ],
         ids=[
             "config-unreadable", "grid-two-fields", "grid-not-a-number", "times-not-a-number",
             "times-negative", "csv-drift-missing", "ic-gaussian-one-field", "ic-gaussian-zero-variance",
             "ic-csv-missing", "ic-csv-three-columns", "ml-one-step", "lambda-empty", "darboux-steps-above-kmax",
             "lambda-trailing-empty-field", "lambda-leading-empty-field", "times-empty-field",
+            "csv-drift-no-rows", "ic-csv-no-rows", "csv-drift-three-samples",
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_exits_one_naming_the_input(self, capsys, tmp_path, argv, needle):
         np.savetxt(tmp_path / "three.csv", np.ones((5, 3)), delimiter=",")
+        (tmp_path / "header.csv").write_text("x,D\n")
+        np.savetxt(tmp_path / "short.csv", [[0.0, 0.0], [0.5, -0.5], [1.0, -1.0]], delimiter=",")
         argv = [a.format(tmp=tmp_path) for a in argv]
         rc, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
         assert rc == 1

@@ -15,7 +15,8 @@ from isofokker.grid import (
     sup_norm,
 )
 from isofokker.oracle import CnConfig, cn_evolve
-from isofokker.scenarios import box_scenario
+from isofokker.isospectral import IsoParams, reinstate
+from isofokker.scenarios import box_scenario, hawking_temperature, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
     Basis,
     Spectrum,
@@ -80,8 +81,8 @@ class TestDarbouxStep:
             partner_drift(DarbouxChain(base=ou_chain3.base, stage_states=ou_chain3.stage_states[:1]))
 
 
-_ONE_MASK_PREPOTENTIALS = {
-    # OU on its default domain, where the decaying tails fill wide masked bands
+_ONE_SUPPORT_PREPOTENTIALS = {
+    # OU on its default domain, where the decaying tails leave wide bands off the support
     "ou-0.5": ((-12.0, 12.0), lambda x: 0.5 * x**2 / 4.0),
     "ou-1": ((-12.0, 12.0), lambda x: x**2 / 4.0),
     "ou-2": ((-12.0, 12.0), lambda x: 2.0 * x**2 / 4.0),
@@ -89,42 +90,73 @@ _ONE_MASK_PREPOTENTIALS = {
 }
 
 
-def _as_mask(mask, n_points):
-    return np.zeros(n_points, dtype=bool) if mask is None else mask
-
-
 @pytest.mark.parametrize("n_points", [1001, 4001])
-@pytest.mark.parametrize("case", list(_ONE_MASK_PREPOTENTIALS))
-class TestOneMaskPerBasis:
-    """Every state of a basis carries the same mask, so a basis stores it once."""
+@pytest.mark.parametrize("case", list(_ONE_SUPPORT_PREPOTENTIALS))
+class TestOneSupportPerBasis:
+    """Every state of a basis carries the same support, so a basis stores it once."""
 
     @staticmethod
     def _spectrum(case, n_points):
-        (c1, c2), prepotential = _ONE_MASK_PREPOTENTIALS[case]
+        (c1, c2), prepotential = _ONE_SUPPORT_PREPOTENTIALS[case]
         return solve_spectrum(build_hamiltonian(sample(make_grid(c1, c2, n_points), prepotential)), 7)
 
-    def test_stage_mask_is_the_per_state_route_mask(self, case, n_points):
+    def test_stage_support_is_the_per_state_route_support(self, case, n_points):
         chain = build_chain(self._spectrum(case, n_points), 4)
         for s in range(1, 5):
             previous, stage = chain.stage_states[s - 1], chain.stage_states[s]
             kernel = log_derivative(previous.state(0))
-            expected = _as_mask(stage.mask, n_points)
-            assert expected.any()
+            assert stage.support != (0, n_points)
             for j, f in enumerate(previous.states):
                 g = derivative(f) - kernel * f
-                assert np.array_equal(~g.unmasked(), expected), (s, j)
+                assert g.support == stage.support, (s, j)
                 if j > 0:
                     # the same arithmetic, except the order of the one-sided edge
-                    # sums where a wide ground state leaves the edges unmasked
+                    # sums where a wide ground state leaves the edges in the support
                     ref = sign_fixed(normalized(g)).values
                     assert np.max(np.abs(stage.values[j - 1] - ref)) <= 1e-15, (s, j)
 
-    def test_crum_states_share_one_mask(self, case, n_points):
+    def test_crum_states_share_one_support(self, case, n_points):
         spec = self._spectrum(case, n_points)
         for n in range(1, 5):
-            first = _as_mask(crum_states(spec, n, n).mask, n_points)
+            first = crum_states(spec, n, n).support
             for k in range(n + 1, spec.kmax + 1):
-                assert np.array_equal(_as_mask(crum_states(spec, n, k).mask, n_points), first), (n, k)
+                assert crum_states(spec, n, k).support == first, (n, k)
+
+
+# Drift families on 2001 nodes: a grid, a prepotential W on it, and the chain depth built.
+_FAMILIES = {
+    "ou-0.5": (lambda: ou_scenario(make_grid(-12.0, 12.0, 2001), 0.5).W, 4),
+    "ou-1": (lambda: ou_scenario(make_grid(-12.0, 12.0, 2001), 1.0).W, 4),
+    "ou-2": (lambda: ou_scenario(make_grid(-12.0, 12.0, 2001), 2.0).W, 4),
+    "box": (lambda: box_scenario(make_grid(0.0, 1.0, 2001)).W, 3),
+    "quartic": (lambda: sample(make_grid(-6.0, 6.0, 2001), lambda x: x**4 / 8.0), 4),
+    # the depth-4 partner's ground dithers around the floor at |x| ~ 5.6-5.8,
+    # where a node that dips below it ends the support
+    "double-well": (lambda: sample(make_grid(-8.0, 8.0, 2001), lambda x: 0.03 * (x**2 - 9.0) ** 2), 4),
+    "tilted-quartic": (
+        lambda: sample(make_grid(-10.0, 10.0, 2001), lambda x: x**2 / 4.0 + 0.01 * x**4 + 0.3 * x),
+        4,
+    ),
+    "schwarzschild": (lambda: schwarzschild_potential(hawking_temperature(1.0), make_grid(0.1, 3.0, 2001)).W, 4),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_families_build_with_nested_supports(family):
+    # every construction builds, and a stage is supported inside the stage before
+    prepotential, depth = _FAMILIES[family]
+    spec = solve_spectrum(build_hamiltonian(prepotential()), 7)
+    chain = build_chain(spec, depth)
+    for s in range(1, depth + 1):
+        (a, z), (pa, pz) = chain.stage_states[s].support, chain.stage_states[s - 1].support
+        assert pa <= a < z <= pz, s
+        drift = partner_drift(chain, s)
+        assert np.all(np.isfinite(drift.D.values)) and np.all(np.isfinite(drift.W.values)), s
+    for n in range(1, 5):
+        for k in range(n, spec.kmax + 1):
+            assert interior_sign_changes(crum_states(spec, n, k)) == k - n, (n, k)
+    deformation = reinstate(build_chain(spec, 2), IsoParams([0.5, 2.0]))
+    assert np.all(np.isfinite(deformation.drift.D.values))
 
 
 class TestCrumStates:
@@ -159,7 +191,7 @@ class TestCrumStates:
             for k in range(n, 8):
                 assert interior_sign_changes(crum_states(ou_spectrum, n, k)) == k - n
 
-    def test_box_masks_nodes_reading_an_edge_row_twice(self):
+    def test_box_support_skips_nodes_reading_an_edge_row_twice(self):
         # box states do not decay at the walls, so the division floor leaves
         # the nodes next to them kept; at n = 2 the one-sided edge rows are
         # read twice there, and node 1 came out with the wrong sign
@@ -167,8 +199,8 @@ class TestCrumStates:
         spec = solve_spectrum(build_hamiltonian(box_scenario(g).W), 7)
         for k in (3, 5, 7):
             f = crum_states(spec, 2, k)
-            assert f.mask[1], k
-            kept = np.flatnonzero(~f.mask[:12])
+            assert f.support[0] > 1, k
+            kept = np.arange(f.support[0], 12)
             ref = np.array([_box_ratio(2, k, x) for x in g.x[kept]])
             scale = np.sign(f.values[713] * _box_ratio(2, k, g.x[713]))
             assert np.array_equal(np.sign(f.values[kept]), scale * np.sign(ref)), k
@@ -219,7 +251,7 @@ class TestCrumCofactorExpansion:
             got = crum_states(spec, n, k)
             ref = crum_reference(spec, n, k)
             assert np.max(np.abs(got.values - ref.values)) <= 1e-12, k
-            assert got.mask is not None and np.array_equal(got.mask, ref.mask)
+            assert got.support != (0, spec.grid.n_points) and got.support == ref.support
 
     def test_repeated_and_interleaved_calls(self):
         spec = _spectrum(-12.0, 12.0, lambda x: x**2 / 4.0)
@@ -231,7 +263,7 @@ class TestCrumCofactorExpansion:
                 first[(n, k)] = f
             ref = first[(n, k)]
             assert np.array_equal(f.values, ref.values)
-            assert np.array_equal(f.mask, ref.mask)
+            assert f.support == ref.support
         fresh = _spectrum(-12.0, 12.0, lambda x: x**2 / 4.0)
         for (n, k), f in first.items():
             assert np.array_equal(crum_states(fresh, n, k).values, f.values)
@@ -267,7 +299,7 @@ class TestOneDeletionPerSpectrum:
         for k in range(1, spec.kmax + 1):
             crum = crum_states(spec, 1, k)
             assert np.array_equal(crum.values, chain.state(1, k).values), k
-            assert np.array_equal(crum.unmasked(), chain.state(1, k).unmasked()), k
+            assert crum.support == chain.state(1, k).support, k
 
 
 def _banded_ground_spectrum():
@@ -276,7 +308,7 @@ def _banded_ground_spectrum():
     x = g.x
     bump = np.where(np.abs(x) > 0.2, np.sin(np.pi * x) ** 2, 0.0)
     states = [bump, np.sin(np.pi * (x + 1.0) / 2.0) * x, np.sin(np.pi * (x + 1.0))]
-    return Spectrum(g, np.array([0.0, 1.0, 2.0]), states, None)
+    return Spectrum(g, np.array([0.0, 1.0, 2.0]), states, (0, g.n_points))
 
 
 class TestPartnerDrift:
@@ -309,7 +341,7 @@ class TestPartnerDrift:
             short = partner_drift(build_chain(ou_spectrum, s))
             staged = partner_drift(ou_chain3, s)
             assert np.array_equal(staged.D.values, short.D.values)
-            assert np.array_equal(staged.D.unmasked(), short.D.unmasked())
+            assert staged.D.support == short.D.support
         assert np.array_equal(partner_drift(ou_chain3, 3).D.values, partner_drift(ou_chain3).D.values)
 
     @pytest.mark.parametrize("stage", [0, 4])
@@ -319,7 +351,7 @@ class TestPartnerDrift:
 
     def test_noded_stage_ground_state_rejected(self, ou_spectrum):
         # a hand-built stage 1 whose ground row is phi_1, with its node at x = 0
-        noded = Basis(ou_spectrum.grid, ou_spectrum.energies[1:], ou_spectrum.values[1:], None)
+        noded = Basis(ou_spectrum.grid, ou_spectrum.energies[1:], ou_spectrum.values[1:], ou_spectrum.support)
         chain = DarbouxChain(base=ou_spectrum, stage_states=(ou_spectrum, noded))
         with pytest.raises(ValueError, match="stage-1 ground state is not node-free"):
             partner_drift(chain, 1)

@@ -18,6 +18,8 @@ from isofokker.mittag import ml_relaxation
 from isofokker.scenarios import ou_transition
 from isofokker.spectral import Spectrum, build_hamiltonian, solve_spectrum
 
+from conftest import outside, span
+
 
 @pytest.fixture(scope="module")
 def gaussian_coeffs(gaussian_ic, ou_spectrum):
@@ -217,7 +219,7 @@ class TestEvolvePdf:
         # a level far below zero is no numerical zero mode: it would grow, not relax
         energies = ou_spectrum.energies.copy()
         energies[1] = -1e-3
-        spectrum = Spectrum(ou_spectrum.grid, energies, ou_spectrum.values, ou_spectrum.mask)
+        spectrum = Spectrum(ou_spectrum.grid, energies, ou_spectrum.values, ou_spectrum.support)
         with pytest.raises(ValueError, match="negative relaxation rate"):
             evolve_pdf(FpeSolution(spectrum, gaussian_coeffs, rule), 1.0)
 
@@ -228,23 +230,23 @@ class TestEvolvePdf:
 
 @pytest.fixture(scope="module")
 def defo_pair(ou_spectrum):
-    """Two-parameter deformation at lambda = (0.5, 0.5); its states carry no masks."""
+    """Two-parameter deformation at lambda = (0.5, 0.5); its states span the whole grid."""
     return reinstate(build_chain(ou_spectrum, 2), IsoParams([0.5, 0.5]))
 
 
 def _mode_sum_density(states, coeffs, factors):
-    """Unit-mass phi_0 sum_k c_k tau_k phi_k, mode by mode, and its mask.
+    """Unit-mass phi_0 sum_k c_k tau_k phi_k, mode by mode, and its support.
 
-    The mask is the union of the ground state's and those of the states
-    with c_k != 0.
+    The support is the intersection of the ground state's and those of the
+    states with c_k != 0.
     """
     used = [k for k, c in enumerate(coeffs) if c != 0.0]
-    mask = ~states[0].unmasked()
+    mask = outside(states[0])
     for k in used:
-        mask = mask | ~states[k].unmasked()
+        mask = mask | outside(states[k])
     total = sum(coeffs[k] * factors[k] * states[k].values for k in used)
     raw = np.where(mask, 0.0, states[0].values * total)
-    return raw / (simpson_weights(states[0].grid) @ raw), mask
+    return raw / (simpson_weights(states[0].grid) @ raw), span(mask)
 
 
 class TestExpansionKernel:
@@ -252,10 +254,10 @@ class TestExpansionKernel:
     def test_partner_pdf_matches_mode_sum(self, ou_chain3, gaussian_coeffs, rule):
         n = ou_chain3.n_steps
         factors = rule.factors(ou_chain3.stage_states[n].energies, 0.7)
-        ref, mask = _mode_sum_density(ou_chain3.stage_states[n].states, gaussian_coeffs[n:], factors)
+        ref, support = _mode_sum_density(ou_chain3.stage_states[n].states, gaussian_coeffs[n:], factors)
         p = partner_pdf(ou_chain3, gaussian_coeffs, 0.7, rule)
-        assert mask.any()
-        assert np.array_equal(~p.unmasked(), mask)
+        assert support != (0, p.grid.n_points)
+        assert p.support == support
         assert np.max(np.abs(p.values - ref)) <= 1e-14
 
     @pytest.mark.parametrize("rule", [TemporalRule.classical(), TemporalRule.fractional(0.6)])
@@ -271,18 +273,19 @@ class TestExpansionKernel:
     @staticmethod
     def _check_iso_pdf(defo_pair, coeffs, rule):
         factors = rule.factors(defo_pair.energies, 0.7)
-        ref, mask = _mode_sum_density(defo_pair.states, coeffs, factors)
+        ref, support = _mode_sum_density(defo_pair.states, coeffs, factors)
         p = iso_pdf(defo_pair, coeffs, 0.7, rule)
-        assert np.array_equal(~p.unmasked(), mask)
+        assert p.support == support
         assert np.max(np.abs(p.values - ref)) <= 1e-14
 
     def test_bases_hold_their_states_once(self, ou_chain3, defo_pair):
         partner = ou_chain3.stage_states[ou_chain3.n_steps]
-        assert partner.mask.any() and not (partner.values.flags.writeable or partner.mask.flags.writeable)
-        assert np.all(partner.values[:, partner.mask] == 0.0)
+        a, z = partner.support
+        assert (a, z) != (0, partner.grid.n_points) and not partner.values.flags.writeable
+        assert np.all(partner.values[:, :a] == 0.0) and np.all(partner.values[:, z:] == 0.0)
         for f, row in zip(partner.states, partner.values):
-            assert np.array_equal(f.values, row) and np.array_equal(f.mask, partner.mask)
-        assert defo_pair.mask is None and not defo_pair.values.flags.writeable
+            assert np.array_equal(f.values, row) and f.support == partner.support
+        assert defo_pair.support == (0, defo_pair.grid.n_points) and not defo_pair.values.flags.writeable
         assert np.array_equal(defo_pair.values, [f.values for f in defo_pair.states])
 
     def test_near_zero_mass_rejected(self, ou_chain3, defo_pair):

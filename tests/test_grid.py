@@ -12,7 +12,6 @@ from isofokker.grid import (
     derivative,
     divide,
     integrate,
-    interior_hole_fraction,
     interior_sign_changes,
     log_derivative,
     make_grid,
@@ -84,49 +83,6 @@ class TestSimpsonWeights:
             w[0] = 1.0
 
 
-def _hole_fraction_loop(bad) -> float:
-    """Reference: walk the wall-attached bands one node at a time."""
-    n = len(bad)
-    lo = 0
-    while lo < n and bad[lo]:
-        lo += 1
-    hi = n
-    while hi > lo and bad[hi - 1]:
-        hi -= 1
-    return int(np.count_nonzero(bad[lo:hi])) / max(n - 2, 1)
-
-
-class TestInteriorHoleFraction:
-    def test_matches_loop_on_random_masks(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(1, 60))
-            bad = rng.random(n) < rng.random()
-            assert interior_hole_fraction(bad) == _hole_fraction_loop(bad)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [],
-            [True],
-            [False],
-            [True] * 9,
-            [True, True, False, False, False, True],
-            [False, False, False, False],
-            [True, False, True, False, True],
-        ],
-        ids=["empty", "single-bad", "single-good", "all-bad", "wall-bands", "none", "holes"],
-    )
-    def test_matches_loop_on_edge_cases(self, bad):
-        bad = np.array(bad, dtype=bool)
-        assert interior_hole_fraction(bad) == _hole_fraction_loop(bad)
-
-    def test_values(self):
-        assert interior_hole_fraction(np.ones(9, dtype=bool)) == 0.0
-        assert interior_hole_fraction(np.array([1, 1, 0, 0, 0, 1], dtype=bool)) == 0.0
-        assert interior_hole_fraction(np.array([1, 0, 1, 0, 1], dtype=bool)) == 1 / 3
-
-
 class TestCumulativeIntegral:
     def test_constant_gives_x(self):
         g = make_grid(0.0, 1.0, 101)
@@ -178,6 +134,21 @@ class TestDerivative:
         rhs = 2.5 * derivative(f) + (-1.25) * derivative(h)
         assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
 
+    def test_support_shrinks_on_cut_sides_only(self):
+        # a cut side moves in by the stencil half-width; a side at the wall
+        # keeps its one-sided edge rows, which read only reliable nodes
+        g = make_grid(0.0, 1.0, 21)
+        f = sample(g, np.exp)
+        assert derivative(f).support == (0, 21)
+        assert derivative(GridFunction(g, f.values, (3, 21))).support == (5, 21)
+        assert derivative(GridFunction(g, f.values, (0, 17))).support == (0, 15)
+        with pytest.raises(ValueError, match="unreliable on every node"):
+            derivative(GridFunction(g, f.values, (8, 12)))
+
+    def test_three_nodes_rejected(self):
+        with pytest.raises(ValueError, match="stencil reads 5 nodes"):
+            derivative(sample(make_grid(0.0, 1.0, 3), np.exp))
+
     def test_fundamental_theorem(self):
         # integrate(derivative F) reproduces F(c2) - F(c1) within O(h^4)
         g = make_grid(-1.0, 2.0, 301)
@@ -191,12 +162,10 @@ class TestLogDerivative:
     def test_gaussian(self):
         g = make_grid(-6.0, 6.0, 1201)
         got = log_derivative(sample(g, lambda x: np.exp(-(x**2) / 4.0)))
-        keep = got.unmasked()
+        a, z = got.support
         err = np.abs(got.values - (-g.x / 2.0))
-        assert np.max(err[keep]) < 1e-6  # one-sided boundary rows dominate
-        interior = keep.copy()
-        interior[:2] = interior[-2:] = False
-        assert np.max(err[interior]) < 1e-7  # h^4 (x/2)^5 / 30 at the domain edge
+        assert np.max(err[a:z]) < 1e-6  # one-sided boundary rows dominate
+        assert np.max(err[max(a, 2) : min(z, g.n_points - 2)]) < 1e-7  # h^4 (x/2)^5 / 30 at the domain edge
 
     def test_pure_exponential(self):
         g = make_grid(0.0, 3.0, 301)
@@ -205,17 +174,13 @@ class TestLogDerivative:
         assert np.max(err) < 1e-6
         assert np.max(err[2:-2]) < 1e-7
 
-    def test_ou_first_excited_masks_node(self):
-        # phi_1 ~ x e^{-x^2/4}: one interior zero, log-derivative 1/x - x/2
+    def test_ou_first_excited_raises(self):
+        # phi_1 ~ x e^{-x^2/4}: its zero at x = 0 cuts one full lobe off the
+        # run around the peak, so no one support interval holds the ratio
         g = make_grid(-12.0, 12.0, 4001)
         phi1 = sample(g, lambda x: x * np.exp(-(x**2) / 4.0))
-        got = log_derivative(phi1)
-        assert got.mask is not None
-        mid = g.n_points // 2
-        assert got.mask[mid]  # node at x = 0 is masked
-        keep = got.unmasked()
-        exact = 1.0 / g.x[keep] - g.x[keep] / 2.0
-        assert np.max(np.abs(got.values[keep] - exact)) < 1e-6
+        with pytest.raises(ValueError, match="zero inside"):
+            log_derivative(phi1)
 
     def test_everywhere_below_floor_rejected(self):
         # the floor is relative to max|f|, so only a vanishing f is below it everywhere
@@ -242,44 +207,47 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(g, vals)
 
-    def test_masked_values_zeroed(self):
+    def test_values_outside_support_zeroed(self):
         g = make_grid(0.0, 1.0, 11)
-        mask = np.zeros(11, dtype=bool)
-        mask[2] = True
-        f = GridFunction(g, np.ones(11), mask)
-        assert f.values[2] == 0.0
+        f = GridFunction(g, np.ones(11), (3, 10))
+        assert f.support == (3, 10)
+        assert np.array_equal(f.values, [0.0] * 3 + [1.0] * 7 + [0.0])
+        assert GridFunction(g, np.ones(11)).support == (0, 11)
 
-    def test_mask_union_in_arithmetic(self):
+    @pytest.mark.parametrize("support", [(4, 4), (5, 3), (-1, 5), (0, 12)])
+    def test_support_without_nodes_rejected(self, support):
+        with pytest.raises(ValueError, match="unreliable on every node"):
+            GridFunction(make_grid(0.0, 1.0, 11), np.ones(11), support)
+
+    def test_supports_intersect_in_arithmetic(self):
         g = make_grid(0.0, 1.0, 11)
-        m1 = np.zeros(11, dtype=bool)
-        m1[1] = True
-        m2 = np.zeros(11, dtype=bool)
-        m2[9] = True
-        f = GridFunction(g, np.ones(11), m1) + GridFunction(g, np.ones(11), m2)
-        assert f.mask[1] and f.mask[9] and not f.mask[5]
+        f, h = GridFunction(g, np.ones(11), (2, 11)), GridFunction(g, np.ones(11), (0, 9))
+        for r in (f + h, f - h, f * h, f / h):
+            assert r.support == (2, 9)
+        assert (f + h).values.tolist() == [0.0] * 2 + [2.0] * 7 + [0.0] * 2
+        assert (f + 1.0).support == (2, 11) and (-h).support == (0, 9)
+        with pytest.raises(ValueError, match="unreliable on every node"):
+            GridFunction(g, np.ones(11), (0, 3)) + GridFunction(g, np.ones(11), (5, 11))
 
-    def test_results_keep_their_masks_when_an_input_mask_changes(self):
-        # the constructor copies a mask, so results can share an operand's mask
-        g = make_grid(0.0, 1.0, 11)
-        m = np.zeros(11, dtype=bool)
-        m[1] = True
-        f = GridFunction(g, np.ones(11), m)
-        results = [f + 1.0, 1.0 + f, f - 1.0, 2.0 * f, f / 2.0, -f, f + GridFunction(g, np.ones(11))]
-        m[:] = True
-        assert not f.mask.flags.writeable
-        for r in results:
-            assert not r.mask.flags.writeable
-            assert np.flatnonzero(r.mask).tolist() == [1]
-
-    def test_divide_masks_small_denominator(self):
+    def test_divide_by_a_zero_crossing_raises(self):
         g = make_grid(-1.0, 1.0, 201)
         num = sample(g, lambda x: np.ones_like(x))
         den = sample(g, lambda x: x)
-        out = divide(num, den)
-        assert out.mask is not None
-        assert np.all(out.mask == (np.abs(g.x) < 1e-12))
-        keep = out.unmasked()
-        assert np.array_equal(out.values[keep], 1.0 / g.x[keep])
+        with pytest.raises(ValueError, match="zero inside"):
+            divide(num, den)
+
+    def test_divide_support_ends_at_a_tail_node_below_floor(self):
+        # a decaying tail that dips below the floor at one node and then
+        # stays near it (~1e-12 of the peak) is cut at that node, silently
+        g = make_grid(-10.4, 10.4, 1041)
+        den = np.exp(-(g.x**2) / 4.0)
+        dip = int(np.argmin(np.abs(g.x - 10.2)))
+        den[dip] = 1e-13
+        assert np.all(den[dip + 1 :] > 1e-12) and np.all(den[dip + 1 :] < 1e-11)
+        out = divide(sample(g, np.ones_like), GridFunction(g, den))
+        assert out.support == (0, dip)
+        assert np.array_equal(out.values[:dip], 1.0 / den[:dip])
+        assert np.all(out.values[dip:] == 0.0)
 
     def test_divide_across_grids_rejected(self):
         # equal node counts on different domains: the arithmetic operators
@@ -315,6 +283,15 @@ class TestCsv:
         cols = read_csv_columns(path)
         assert list(cols) == ["col0", "col1", "col2"]
         assert [c.tolist() for c in cols.values()] == [[0.5], [1.5], [2.5]]
+
+    @pytest.mark.parametrize("text", ["x,P\n", "x,P\n\n", ""])
+    def test_header_without_data_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty.csv: no data rows"):
+                read_csv_columns(path)
 
     @pytest.mark.parametrize("text", ["x,P\n0,1\n1,nan\n", "0,1\n1,inf\n", "x,P\n0,1\n1,abc\n"])
     def test_non_finite_entry_rejected(self, tmp_path, text):

@@ -204,7 +204,8 @@ class TestDeformedDrift:
     def test_deformation_breaks_parity(self, defo_half):
         # the original drift is odd; the deformed one is not
         D = defo_half.drift.D
-        keep = D.unmasked() & D.unmasked()[::-1]
+        a, z = D.support
+        keep = slice(max(a, len(D.values) - z), min(z, len(D.values) - a))  # where D and its mirror image are
         asym = np.abs(D.values + D.values[::-1])
         assert np.max(asym[keep]) > 0.1
 

@@ -100,9 +100,9 @@ class TestSolveSpectrum:
             phi = spec.state(k)
             second = derivative(derivative(phi))
             resid = -1.0 * second + op.V * phi - spec.energies[k] * phi
-            keep = resid.unmasked()
-            keep[:5] = keep[-5:] = False  # one-sided rows of the repeated stencil
-            err = np.max(np.abs(resid.values[keep]))
+            a, z = resid.support
+            # past the one-sided rows of the repeated stencil
+            err = np.max(np.abs(resid.values[max(a, 5) : min(z, len(resid.values) - 5)]))
             assert err <= 1e-4 * np.max(np.abs(phi.values))
 
     def test_ground_state_annihilated(self, fine_ou):
@@ -225,31 +225,33 @@ class TestAgainstFullBisection:
 class TestBasis:
     def test_rows_are_the_states(self, ou_spectrum):
         assert len(ou_spectrum) == ou_spectrum.kmax + 1 == 8
-        assert ou_spectrum.values.shape == (8, ou_spectrum.grid.n_points) and ou_spectrum.mask is None
+        full = (0, ou_spectrum.grid.n_points)
+        assert ou_spectrum.values.shape == (8, full[1]) and ou_spectrum.support == full
         assert np.array_equal(ou_spectrum.values, [f.values for f in ou_spectrum.states])
-        assert all(f.grid is ou_spectrum.grid and f.mask is None for f in ou_spectrum.states)
+        assert all(f.grid is ou_spectrum.grid and f.support == full for f in ou_spectrum.states)
         assert not (ou_spectrum.values.flags.writeable or ou_spectrum.energies.flags.writeable)
 
 
 class TestUnitState:
     @pytest.mark.parametrize("flip", [1.0, -1.0])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_byte_identical_to_normalized_sign_fixed(self, ou_grid, flip, masked):
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_byte_identical_to_normalized_sign_fixed(self, ou_grid, flip, cut):
         x = ou_grid.x
         values = flip * 3.0 * x * np.exp(-(x**2) / 2.0)
         values[0] = values[-1] = 0.0
-        mask = None
-        if masked:
-            # unreliable tails with non-zero samples, which must be dropped
-            mask = np.abs(x) > 10.0
-            values = np.where(mask, 7.0, values)
-        ref = sign_fixed(normalized(GridFunction(ou_grid, values, mask)))
-        got = _unit_rows(ou_grid, [values, -2.0 * values], mask)
+        support = None
+        if cut:
+            # non-zero samples outside the support |x| <= 10, which are dropped
+            support = (167, 1834)
+            values[:167] = values[1834:] = 7.0
+        stored = GridFunction(ou_grid, values, support)
+        ref = sign_fixed(normalized(stored))
+        got = _unit_rows(ou_grid, [stored.values, -2.0 * stored.values])
         assert got.shape == (2, ou_grid.n_points)
-        # read as every caller stores them, with masked nodes at +0
+        # read as every caller stores them, with nodes outside the support at +0
         for row in got:
-            assert GridFunction(ou_grid, row, mask).values.tobytes() == ref.values.tobytes()
-        assert (ref.mask is not None) == masked
+            assert GridFunction(ou_grid, row, support).values.tobytes() == ref.values.tobytes()
+        assert (ref.support != (0, ou_grid.n_points)) == cut
 
     def test_zero_norm_rejected(self, ou_grid):
         with pytest.raises(ValueError, match="normalize"):
@@ -287,7 +289,8 @@ class TestGroundStateToDrift:
         phi0 = sample(ou_grid, lambda x: np.exp(-(x**2) / 4.0))
         ds = ground_state_to_drift(phi0)
         resid = ds.D + 2.0 * derivative(ds.W)
-        assert np.max(np.abs(resid.values[resid.unmasked()])) < 1e-5
+        a, z = resid.support
+        assert np.max(np.abs(resid.values[a:z])) < 1e-5
 
     def test_noded_state_rejected(self, ou_spectrum):
         with pytest.raises(ValueError, match="zero"):
