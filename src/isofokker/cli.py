@@ -308,8 +308,8 @@ def cmd_evolve(cfg) -> int:
 
 def cmd_ml(cfg) -> int:
     zmin, zmax, steps = cfg["zmin"], cfg["zmax"], cfg["steps"]
-    if zmax > 0 or zmin > zmax:
-        raise UsageError("need zmin <= zmax <= 0")
+    if not (math.isfinite(zmin) and zmin <= zmax <= 0.0):
+        raise UsageError(f"need finite --zmin <= --zmax <= 0, got --zmin={zmin} --zmax={zmax}")
     if steps < 2:
         raise UsageError("--steps needs at least 2 table points")
     zs = np.linspace(zmin, zmax, steps)

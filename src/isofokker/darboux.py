@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import _expansion
-from .grid import GridFunction, _peak_run, _shrunk, _solve_per_node, _stencil
+from .grid import GridFunction, _peak_run, _solve_per_node, derivative
 from .spectral import Basis, DriftSpec, Spectrum, _unit_rows, ground_state_to_drift
 
 __all__ = [
@@ -53,40 +53,36 @@ class DarbouxChain:
         return self.stage_states[s].state(k - s)
 
 
-def _delete_lowest(basis: Basis, n: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Rows k >= n of ``basis`` with its lowest n levels deleted, and their one support.
+def _delete_lowest(basis: Basis, n: int) -> GridFunction:
+    """Rows k >= n of ``basis`` with its lowest n levels deleted, as one stack.
 
     Along its phi_k column W[phi_0..phi_{n-1}, phi_k] = sum_j C_j phi_k^(j),
     j = 0..n, with C_n the denominator W[phi_0..phi_{n-1}] (the ground row
     itself at n = 1).  So the ratio is phi_k^(n) + sum_{j<n} a_j phi_k^(j)
     for every k, where by Cramer's rule a_j = C_j / C_n solves
     sum_j a_j phi_i^(j) = -phi_i^(n), i < n.  One elimination per node gives
-    both C_n, from its pivots, and the a_j.  The support is the basis's,
-    shrunk by n stencil widths and, at n >= 2, clear of the 2n nodes a side
+    both C_n, from its pivots, and the a_j.  The support is that of the
+    n-th ``derivative`` of the basis, at n >= 2 clear of the 2n nodes a side
     that read a one-sided edge row more than once; within it, the run around
     the peak of the denominator where it clears the floor (``grid._peak_run``,
-    which raises if the denominator has a zero inside).  Returns read-only
-    unit, sign-fixed rows, 0 outside the support, and the support.
+    which raises if the denominator has a zero inside).  Returns the unit,
+    sign-fixed rows, 0 outside the support.
     """
-    grid = basis.grid
-    rows = [basis.values]
-    support = basis.support
+    derivs = [basis]
     for _ in range(n):
-        rows.append(_stencil(rows[-1], grid.h))
-        support = _shrunk(support, grid.n_points)
+        derivs.append(derivative(derivs[-1]))
+    a, z = derivs[-1].support
     if n >= 2:
-        support = (max(support[0], 2 * n), min(support[1], grid.n_points - 2 * n))
-    rows = np.array(rows)  # (order, state, node)
+        a, z = max(a, 2 * n), min(z, basis.grid.n_points - 2 * n)
+    rows = np.array([d.values for d in derivs])  # (order, state, node)
     den, ratios = _solve_per_node(rows[:n, :n].transpose(1, 0, 2), -rows[n, :n])
     try:
-        a, z = _peak_run(den, support)
+        a, z = _peak_run(den, (a, z))
     except ValueError as exc:
         raise ValueError(f"denominator Wronskian unreliable: {exc}") from exc
     values = np.zeros(rows[n, n:].shape)
     values[:, a:z] = rows[n, n:, a:z] + sum(c * row for c, row in zip(ratios[:, a:z], rows[:n, n:, a:z]))
-    values = _unit_rows(grid, values)
-    values.setflags(write=False)
-    return values, (a, z)
+    return GridFunction(basis.grid, _unit_rows(basis.grid, values), (a, z))
 
 
 def darboux_step(chain: DarbouxChain) -> DarbouxChain:
@@ -101,9 +97,9 @@ def darboux_step(chain: DarbouxChain) -> DarbouxChain:
     stage = chain.stage_states[s]
     if len(stage) < 2:
         raise ValueError("no levels left above the stage ground state")
-    values, support = _spectrum_deletion(chain.base, 1) if s == 0 else _delete_lowest(stage, 1)
+    rows = _spectrum_deletion(chain.base, 1) if s == 0 else _delete_lowest(stage, 1)
     energies = chain.base.energies[s + 1 :] - chain.base.energies[s + 1]
-    new = Basis(stage.grid, energies, values, support)
+    new = Basis(stage.grid, rows.values, rows.support, energies=energies)
     return DarbouxChain(base=chain.base, stage_states=chain.stage_states + (new,))
 
 
@@ -113,14 +109,14 @@ def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
         raise ValueError("n_steps must be at least 1")
     if n_steps > base.kmax:
         raise ValueError(f"cannot delete {n_steps} levels with kmax={base.kmax}")
-    stage0 = Basis(base.grid, base.energies - base.energies[0], base.values, base.support)
+    stage0 = Basis(base.grid, base.values, base.support, energies=base.energies - base.energies[0])
     chain = DarbouxChain(base=base, stage_states=(stage0,))
     for _ in range(n_steps):
         chain = darboux_step(chain)
     return chain
 
 
-def _spectrum_deletion(base: Spectrum, n: int) -> tuple[np.ndarray, tuple[int, int]]:
+def _spectrum_deletion(base: Spectrum, n: int) -> GridFunction:
     """The deletion kernel at n on the base spectrum, kept per (spectrum, n).
 
     An n whose denominator has a zero inside raises and is not kept.
@@ -144,8 +140,8 @@ def crum_states(base: Spectrum, n: int, k: int) -> GridFunction:
         raise IndexError(f"level {k} is among the deleted ones (n={n})")
     if k > base.kmax:
         raise IndexError(f"level {k} beyond kmax={base.kmax}")
-    values, support = _spectrum_deletion(base, n)
-    return GridFunction(base.grid, values[k - n], support)
+    rows = _spectrum_deletion(base, n)
+    return GridFunction(base.grid, rows.values[k - n], rows.support)
 
 
 def partner_drift(chain: DarbouxChain, stage: int | None = None) -> DriftSpec:

@@ -1,8 +1,10 @@
 """Uniform 1-D grids with Simpson quadrature and 4th-order finite differences.
 
-Functions are carried as node samples on a fixed grid.  Every sampled
-function carries one support interval, the half-open node range (a, z)
-where it can be trusted.  A division trusts the run of nodes around the
+Functions are carried as node samples on a fixed grid: one
+``GridFunction`` holds one function or a stack of them, with the nodes
+on the last axis.  Every grid function carries one support interval,
+the half-open node range (a, z) where it can be trusted, shared by every
+function of a stack.  A division trusts the run of nodes around the
 peak of its denominator where the denominator clears the floor, and a
 derivative trusts no node whose stencil reads a node outside the support.
 Values outside the support are stored as 0, and sup-norm comparisons
@@ -84,12 +86,16 @@ class Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real-valued samples of a function on a Grid1D.
+    """Real-valued samples of one function, or of a stack of functions, on a Grid1D.
 
-    ``support`` is the half-open node range (a, z) of reliable samples,
-    the whole grid (0, N) unless given; the values outside it are always
-    stored as 0, so that quadrature over an unreliable decaying tail stays
-    harmless.
+    ``values`` has shape (..., N): the nodes lie on the last axis, and any
+    leading axes index the functions of a stack.  Grid operations act
+    along the last axis, so a stack behaves as its functions do one by
+    one; ``integrate``, ``interior_sign_changes`` and ``write_csv`` take
+    one function.  ``support`` is the half-open node range (a, z) of
+    reliable samples, one for the whole stack, the whole grid (0, N)
+    unless given; the values outside it are always stored as 0, so that
+    quadrature over an unreliable decaying tail stays harmless.
     """
 
     grid: Grid1D
@@ -99,12 +105,12 @@ class GridFunction:
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         n = self.grid.n_points
-        if values.shape != (n,):
-            raise ValueError(f"values shape {values.shape} does not match grid ({n},)")
+        if values.shape[-1:] != (n,):
+            raise ValueError(f"values shape {values.shape} does not end in the grid's {n} nodes")
         a, z = (0, n) if self.support is None else self.support
         if not 0 <= a < z <= n:
             raise ValueError(f"function is unreliable on every node: support ({a}, {z}) of {n} nodes")
-        values[:a] = values[z:] = 0.0
+        values[..., :a] = values[..., z:] = 0.0
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite values in grid function")
         values.setflags(write=False)
@@ -171,30 +177,27 @@ def simpson_weights(grid: Grid1D) -> np.ndarray:
 
 
 def integrate(f: GridFunction) -> float:
-    """Composite-Simpson integral over [c1, c2]; O(h^4) for smooth samples."""
+    """Composite-Simpson integral of one function over [c1, c2]; O(h^4) for smooth samples."""
     return float(simpson_weights(f.grid) @ f.values)
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
-    """Running integral g(x_i) = int_{c1}^{x_i} f, with g(c1) = 0.
+    """Running integral g(x_i) = int_{c1}^{x_i} f along the last axis, with g(c1) = 0.
 
     Even nodes carry exact composite-Simpson partial sums (so the last node
     agrees with :func:`integrate` to round-off); odd nodes add the quadratic
-    half-panel (h/12)(5 f_{2j} + 8 f_{2j+1} - f_{2j+2}).
+    half-panel (h/12)(5 f_{2j} + 8 f_{2j+1} - f_{2j+2}).  A stack gives the
+    running integral of each of its functions.
 
     The result spans the whole grid: all in-package uses integrate functions
     whose tails outside the support are stored as 0 and genuinely negligible.
     """
-    return GridFunction(f.grid, _cumulative_simpson(f.values, f.grid.h))
-
-
-def _cumulative_simpson(v: np.ndarray, h: float) -> np.ndarray:
-    """The running integral of :func:`cumulative_integral` along the last axis of samples ``v``."""
+    v, h = f.values, f.grid.h
     out = np.zeros_like(v)
     lo, mid, hi = v[..., 0:-2:2], v[..., 1:-1:2], v[..., 2::2]
     out[..., 2::2] = np.cumsum((h / 3.0) * (lo + 4.0 * mid + hi), axis=-1)
     out[..., 1::2] = out[..., 0:-2:2] + (h / 12.0) * (5.0 * lo + 8.0 * mid - hi)
-    return out
+    return GridFunction(f.grid, out)
 
 
 # 4th-order one-sided stencils for the two boundary bands (divided by 12h).
@@ -202,36 +205,27 @@ _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
 
 
-def _stencil(v: np.ndarray, h: float) -> np.ndarray:
-    """The :func:`derivative` stencil along the last axis of samples ``v`` (one row or a stack).
+def derivative(f: GridFunction) -> GridFunction:
+    """4th-order first derivative along the last axis: centered 5-point stencil, one-sided at the edges.
 
-    Every row of it, the one-sided edge rows included, reads 5 nodes, so
-    fewer samples raise ValueError.
+    Every row of the stencil, the one-sided edge rows included, reads 5
+    nodes, so a grid of fewer raises ValueError.  Each cut side of the
+    support moves in by the stencil half-width 2; a side at the wall stays,
+    as the one-sided rows read only reliable nodes there.  A stack gives
+    each function's derivative, bit for bit except in the two left edge
+    rows, whose 5-term sums BLAS orders differently for one row and a stack.
     """
-    if v.shape[-1] < 5:
-        raise ValueError(f"the 4th-order derivative stencil reads 5 nodes; got {v.shape[-1]} samples")
+    v, h, n = f.values, f.grid.h, f.grid.n_points
+    if n < 5:
+        raise ValueError(f"the 4th-order derivative stencil reads 5 nodes; got {n} samples")
     out = np.empty_like(v)
     out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
     out[..., 0] = v[..., :5] @ _EDGE0 / (12.0 * h)
     out[..., 1] = v[..., :5] @ _EDGE1 / (12.0 * h)
     out[..., -2] = -(v[..., :-6:-1] @ _EDGE1) / (12.0 * h)
     out[..., -1] = -(v[..., :-6:-1] @ _EDGE0) / (12.0 * h)
-    return out
-
-
-def _shrunk(support: tuple[int, int], n_points: int) -> tuple[int, int]:
-    """The support of a derivative: each cut side moves in by the stencil half-width 2.
-
-    A side at the wall stays, because the one-sided edge rows read only
-    reliable nodes there.
-    """
-    a, z = support
-    return (a + 2 if a > 0 else 0, z - 2 if z < n_points else n_points)
-
-
-def derivative(f: GridFunction) -> GridFunction:
-    """4th-order first derivative: centered 5-point stencil inside, one-sided at the edges."""
-    return GridFunction(f.grid, _stencil(f.values, f.grid.h), _shrunk(f.support, f.grid.n_points))
+    a, z = f.support
+    return GridFunction(f.grid, out, (a + 2 if a > 0 else 0, z - 2 if z < n else n))
 
 
 def _peak_run(den: np.ndarray, support: tuple[int, int]) -> tuple[int, int]:
@@ -303,15 +297,19 @@ def _solve_per_node(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def divide(num: GridFunction, den: GridFunction) -> GridFunction:
     """Pointwise num/den on one grid, supported on the run of nodes around the peak of |den|.
 
-    The run lies within both supports and ends where |den| falls below
-    the floor (see ``_peak_run``).  Raises if the operands live on
-    different grids, if the denominator vanishes, if it is below the floor
-    on every node of both supports, or if it has a zero inside them.
+    ``num`` is one function or a stack, each divided by the one function
+    ``den``.  The run lies within both supports and ends where |den| falls
+    below the floor (see ``_peak_run``).  Raises if ``den`` is a stack, if
+    the operands live on different grids, if the denominator vanishes, if
+    it is below the floor on every node of both supports, or if it has a
+    zero inside them.
     """
     dv, support = num._other(den)
+    if dv.ndim != 1:
+        raise ValueError(f"denominator must be one function, got a stack of shape {dv.shape}")
     a, z = _peak_run(dv, support)
-    out = np.zeros(num.grid.n_points)
-    out[a:z] = num.values[a:z] / dv[a:z]
+    out = np.zeros(num.values.shape)
+    out[..., a:z] = num.values[..., a:z] / dv[a:z]
     return GridFunction(num.grid, out, (a, z))
 
 
@@ -324,12 +322,12 @@ def log_derivative(f: GridFunction) -> GridFunction:
 
 
 def sup_norm(f: GridFunction, window: tuple[float, float] | None = None) -> float:
-    """Max |f| over its support, optionally restricted to x in [a, b]."""
+    """Max |f| over its support, optionally restricted to x in [a, b]; over every function of a stack."""
     a, z = f.support
-    vals = f.values[a:z]
+    vals = f.values[..., a:z]
     if window is not None:
         x = f.grid.x[a:z]
-        vals = vals[(x >= window[0]) & (x <= window[1])]
+        vals = vals[..., (x >= window[0]) & (x <= window[1])]
     if not vals.size:
         raise ValueError("no reliable nodes in requested window")
     return float(np.max(np.abs(vals)))
@@ -341,19 +339,19 @@ def sup_diff(f: GridFunction, g: GridFunction, window: tuple[float, float] | Non
 
 
 def hold_edges(f: GridFunction) -> np.ndarray:
-    """Values of f with the value at each end of its support held beyond it.
+    """Values of f with the value at each end of its support held beyond it, function by function.
 
     Supports end only in decaying tails here, where the edge value is a
     harmless stand-in (for a confining potential or a drift alike).
     """
     a, z = f.support
     held = f.values.copy()
-    held[:a], held[z:] = held[a], held[z - 1]
+    held[..., :a], held[..., z:] = held[..., a, None], held[..., z - 1, None]
     return held
 
 
 def interior_sign_changes(f: GridFunction) -> int:
-    """Count sign changes of f across nodes with |f| above SIGN_FLOOR_FRACTION * max|f|.
+    """Count sign changes of one function f across nodes with |f| above SIGN_FLOOR_FRACTION * max|f|.
 
     Tiny-amplitude wiggle (round-off around genuine zeros or in decaying
     tails) does not count as a node, nor does a node outside the support,
@@ -365,7 +363,7 @@ def interior_sign_changes(f: GridFunction) -> int:
 
 
 def write_csv(path, columns: dict[str, GridFunction]) -> None:
-    """Write named grid functions as CSV: header row, x first, 17 significant digits."""
+    """Write named grid functions, one function each, as CSV: header row, x first, 17 significant digits."""
     if not columns:
         raise ValueError("no columns to write")
     first = next(iter(columns.values()))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .darboux import DarbouxChain
 from .evolve import _expansion
-from .grid import GridFunction, _cumulative_simpson, _solve_per_node
+from .grid import GridFunction, _solve_per_node, cumulative_integral
 from .spectral import Basis, DriftSpec, _unit_rows, ground_state_to_drift
 
 __all__ = [
@@ -61,7 +61,7 @@ class IsoParams:
         return len(self.lambdas)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class IsoDeformation(Basis):
     """The deformed eigenbasis and drift.
 
@@ -101,7 +101,7 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         raise ValueError(f"{n} parameters but chain has only {chain.n_steps} steps")
     base = chain.base
     phi = base.values
-    gram = _cumulative_simpson(phi[:n, None] * phi, base.grid.h)  # (n, kmax+1, nodes)
+    gram = cumulative_integral(GridFunction(base.grid, phi[:n, None] * phi)).values  # (n, kmax+1, nodes)
     for s, lam in enumerate(params.lambdas):
         _check_admissible(lam, float(gram[s, s, -1]), s)
     det, low = _solve_per_node(gram[:, :n] + np.diag(params.lambdas)[..., None], phi[:n])
@@ -109,14 +109,8 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         raise ValueError("det M(x) changes sign on the grid; the parameter combination is inadmissible")
     high = phi[n:] - np.einsum("jx,jkx->kx", low, gram[:, n:])
     values = _unit_rows(base.grid, np.concatenate((low, high)))
-    return IsoDeformation(
-        grid=base.grid,
-        energies=base.energies,
-        values=values,
-        support=(0, base.grid.n_points),
-        chain=chain,
-        drift=ground_state_to_drift(GridFunction(base.grid, values[0])),
-    )
+    drift = ground_state_to_drift(GridFunction(base.grid, values[0]))
+    return IsoDeformation(base.grid, values, energies=base.energies, chain=chain, drift=drift)
 
 
 def iso_pdf(deformation: IsoDeformation, coeffs, t: float, temporal=None) -> GridFunction:

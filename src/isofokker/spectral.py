@@ -67,34 +67,27 @@ class SchrodingerOperator:
     offdiag: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Basis:
-    """Eigenstates on one grid, ground state first.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Basis(GridFunction):
+    """Eigenstates on one grid, ground state first, and their levels.
 
-    ``values`` holds the states as one read-only (k, N) array and
-    ``energies`` their k levels.  Every state of a basis shares the one
-    ``support``, the half-open node range (a, z) as in ``GridFunction``
-    ((0, N) when every node is reliable), outside which its rows are
-    stored as 0.  ``state(k)`` and ``states`` build grid functions on
-    demand.
+    A basis is a ``GridFunction`` stack: ``values`` holds the k states as
+    one read-only (k, N) array, every state shares the one ``support``
+    ((0, N) unless given), and grid operations act on each state along
+    the last axis.  It adds only ``energies``, the k levels, given by
+    keyword: ``Basis(grid, values, support, energies=...)``.  ``state(k)``
+    and ``states`` build single-state grid functions on demand.
     """
 
-    grid: Grid1D
     energies: np.ndarray
-    values: np.ndarray
-    support: tuple[int, int]
 
     def __post_init__(self):
+        super().__post_init__()
         energies = np.array(self.energies, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(energies), self.grid.n_points):
-            raise ValueError(f"values shape {values.shape} is not {(len(energies), self.grid.n_points)}")
-        a, z = self.support
-        values[:, :a] = values[:, z:] = 0.0
+        if energies.ndim != 1 or self.values.shape[:-1] != energies.shape:
+            raise ValueError(f"values of shape {self.values.shape} need one state per level {energies.shape}")
         energies.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -107,7 +100,7 @@ class Basis:
         return tuple(self.state(k) for k in range(len(self)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Spectrum(Basis):
     """Lowest eigenpairs, energies strictly increasing, states L2-normalized.
 
@@ -115,7 +108,7 @@ class Spectrum(Basis):
     (phi_k'(c1) > 0), which makes downstream chains reproducible run to run.
     """
 
-    # The Wronskian states and support of each n asked for, keyed by n (see
+    # The Wronskian states of each n asked for, as one stack, keyed by n (see
     # darboux.crum_states; a chain's first stage reads n = 1); safe to keep
     # because the spectrum is frozen.
     _crum_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -254,7 +247,7 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
         raise RuntimeError("eigenvalues not strictly increasing; resolution too coarse")
     full = np.zeros((kmax + 1, n))
     full[:, 1:-1] = vectors.T
-    return Spectrum(op.grid, energies, _unit_rows(op.grid, full), (0, n))
+    return Spectrum(op.grid, _unit_rows(op.grid, full), energies=energies)
 
 
 def ground_state_to_drift(phi0: GridFunction) -> DriftSpec:

@@ -338,6 +338,13 @@ class TestMlCommand:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("bounds", [("--zmin=-inf",), ("--zmin=nan",), ("--zmax=nan",), ("--zmax=-inf",)])
+    def test_non_finite_bounds_rejected_by_name(self, capsys, tmp_path, bounds):
+        rc, _, err = run_cli(capsys, "ml", *bounds, "--out", str(tmp_path))
+        assert rc == 1
+        assert err.startswith("error:") and "--zmin" in err and "--zmax" in err
+        assert "relaxation rate" not in err and not (tmp_path / "mittag_leffler.csv").exists()
+
     def test_guard_failure_reported_as_error(self, capsys, tmp_path, coarse_ml_rule):
         rc, _, err = run_cli(capsys, "ml", "--alpha", "0.5", "--out", str(tmp_path))
         assert rc == 1

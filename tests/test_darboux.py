@@ -301,6 +301,14 @@ class TestOneDeletionPerSpectrum:
             assert np.array_equal(crum.values, chain.state(1, k).values), k
             assert crum.support == chain.state(1, k).support, k
 
+    def test_kept_rows_are_read_only(self):
+        spec = _spectrum(-12.0, 12.0, lambda x: x**2 / 4.0)
+        for n in (1, 3):
+            crum_states(spec, n, n)
+            kept = spec._crum_memo[n]
+            assert kept.values.shape == (spec.kmax + 1 - n, spec.grid.n_points)
+            assert not kept.values.flags.writeable
+
 
 def _banded_ground_spectrum():
     """Three hand-made states whose ground state vanishes on the middle fifth of the domain."""
@@ -308,7 +316,7 @@ def _banded_ground_spectrum():
     x = g.x
     bump = np.where(np.abs(x) > 0.2, np.sin(np.pi * x) ** 2, 0.0)
     states = [bump, np.sin(np.pi * (x + 1.0) / 2.0) * x, np.sin(np.pi * (x + 1.0))]
-    return Spectrum(g, np.array([0.0, 1.0, 2.0]), states, (0, g.n_points))
+    return Spectrum(g, states, (0, g.n_points), energies=np.array([0.0, 1.0, 2.0]))
 
 
 class TestPartnerDrift:
@@ -351,7 +359,7 @@ class TestPartnerDrift:
 
     def test_noded_stage_ground_state_rejected(self, ou_spectrum):
         # a hand-built stage 1 whose ground row is phi_1, with its node at x = 0
-        noded = Basis(ou_spectrum.grid, ou_spectrum.energies[1:], ou_spectrum.values[1:], ou_spectrum.support)
+        noded = Basis(ou_spectrum.grid, ou_spectrum.values[1:], ou_spectrum.support, energies=ou_spectrum.energies[1:])
         chain = DarbouxChain(base=ou_spectrum, stage_states=(ou_spectrum, noded))
         with pytest.raises(ValueError, match="stage-1 ground state is not node-free"):
             partner_drift(chain, 1)

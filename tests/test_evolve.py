@@ -219,7 +219,7 @@ class TestEvolvePdf:
         # a level far below zero is no numerical zero mode: it would grow, not relax
         energies = ou_spectrum.energies.copy()
         energies[1] = -1e-3
-        spectrum = Spectrum(ou_spectrum.grid, energies, ou_spectrum.values, ou_spectrum.support)
+        spectrum = Spectrum(ou_spectrum.grid, ou_spectrum.values, ou_spectrum.support, energies=energies)
         with pytest.raises(ValueError, match="negative relaxation rate"):
             evolve_pdf(FpeSolution(spectrum, gaussian_coeffs, rule), 1.0)
 

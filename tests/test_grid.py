@@ -11,6 +11,7 @@ from isofokker.grid import (
     cumulative_integral,
     derivative,
     divide,
+    hold_edges,
     integrate,
     interior_sign_changes,
     log_derivative,
@@ -22,6 +23,20 @@ from isofokker.grid import (
     sup_norm,
     write_csv,
 )
+
+
+def _stack(support=None):
+    """Three functions on one 41-node grid, as one stack and as its rows."""
+    g = make_grid(-1.0, 1.0, 41)
+    values = np.array([np.exp(g.x), np.sin(3.0 * g.x), 1.0 + g.x**2])
+    return GridFunction(g, values, support), [GridFunction(g, row, support) for row in values]
+
+
+def _assert_rows_match(stack, rows, first=0):
+    """Each stack row equals the single-row result in support and, from node ``first`` on, in bytes."""
+    assert stack.values.shape == (len(rows), stack.grid.n_points)
+    for got, ref in zip(stack.values, rows):
+        assert got[first:].tobytes() == ref.values[first:].tobytes() and stack.support == ref.support
 
 
 class TestMakeGrid:
@@ -108,6 +123,10 @@ class TestCumulativeIntegral:
         ref = integrate(sample(fine, lambda x: np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi)))
         assert abs(I0.values[-1] - ref) < 1e-8
 
+    def test_stack_rows_match_single_calls(self):
+        stack, rows = _stack()
+        _assert_rows_match(cumulative_integral(stack), [cumulative_integral(r) for r in rows])
+
 
 class TestDerivative:
     def test_quadratic_exact_everywhere(self):
@@ -144,6 +163,19 @@ class TestDerivative:
         assert derivative(GridFunction(g, f.values, (0, 17))).support == (0, 15)
         with pytest.raises(ValueError, match="unreliable on every node"):
             derivative(GridFunction(g, f.values, (8, 12)))
+
+    @pytest.mark.parametrize("support", [None, (3, 41), (0, 37), (4, 35)])
+    def test_stack_rows_match_single_calls(self, support):
+        stack, rows = _stack(support)
+        got, ref = derivative(stack), [derivative(r) for r in rows]
+        if got.support[0] > 0:
+            _assert_rows_match(got, ref)
+        else:
+            # the two left one-sided rows are 5-term dot products, which BLAS
+            # sums in one order for one function and in another for a stack
+            _assert_rows_match(got, ref, first=2)
+            edge = np.array([r.values[:2] for r in ref])
+            assert np.allclose(got.values[:, :2], edge, rtol=1e-14, atol=0.0)
 
     def test_three_nodes_rejected(self):
         with pytest.raises(ValueError, match="stencil reads 5 nodes"):
@@ -195,10 +227,11 @@ class TestLogDerivative:
 
 
 class TestGridFunction:
-    def test_length_mismatch_rejected(self):
+    @pytest.mark.parametrize("values", [np.zeros(7), np.zeros((11, 2)), 0.0])
+    def test_length_mismatch_rejected(self, values):
         g = make_grid(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            GridFunction(g, np.zeros(7))
+        with pytest.raises(ValueError, match="grid's 11 nodes"):
+            GridFunction(g, values)
 
     def test_non_finite_rejected(self):
         g = make_grid(0.0, 1.0, 11)
@@ -207,12 +240,13 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(g, vals)
 
-    def test_values_outside_support_zeroed(self):
+    @pytest.mark.parametrize("shape", [(11,), (2, 11)])
+    def test_values_outside_support_zeroed(self, shape):
         g = make_grid(0.0, 1.0, 11)
-        f = GridFunction(g, np.ones(11), (3, 10))
-        assert f.support == (3, 10)
-        assert np.array_equal(f.values, [0.0] * 3 + [1.0] * 7 + [0.0])
-        assert GridFunction(g, np.ones(11)).support == (0, 11)
+        f = GridFunction(g, np.ones(shape), (3, 10))
+        assert f.support == (3, 10) and not f.values.flags.writeable
+        assert np.array_equal(f.values, np.broadcast_to([0.0] * 3 + [1.0] * 7 + [0.0], shape))
+        assert GridFunction(g, np.ones(shape)).support == (0, 11)
 
     @pytest.mark.parametrize("support", [(4, 4), (5, 3), (-1, 5), (0, 12)])
     def test_support_without_nodes_rejected(self, support):
@@ -228,6 +262,47 @@ class TestGridFunction:
         assert (f + 1.0).support == (2, 11) and (-h).support == (0, 9)
         with pytest.raises(ValueError, match="unreliable on every node"):
             GridFunction(g, np.ones(11), (0, 3)) + GridFunction(g, np.ones(11), (5, 11))
+
+    def test_stack_arithmetic_rows_match_single_calls(self):
+        stack, rows = _stack((2, 41))
+        g = stack.grid
+        other = GridFunction(g, np.cos(g.x), (0, 38))
+        _assert_rows_match(stack + other, [r + other for r in rows])
+        _assert_rows_match(other - stack, [other - r for r in rows])
+        _assert_rows_match(stack * other, [r * other for r in rows])
+        _assert_rows_match(stack / 4.0, [r / 4.0 for r in rows])
+        _assert_rows_match(2.5 * stack, [2.5 * r for r in rows])
+        _assert_rows_match(-stack, [-r for r in rows])
+        _assert_rows_match(stack / other, [r / other for r in rows])
+
+    def test_divide_stack_over_one_row(self):
+        stack, rows = _stack((0, 39))
+        den = GridFunction(stack.grid, np.exp(-(stack.grid.x**2)), (1, 41))
+        _assert_rows_match(divide(stack, den), [divide(r, den) for r in rows])
+        with pytest.raises(ValueError, match="denominator must be one function"):
+            divide(den, stack)
+        with pytest.raises(ValueError, match="denominator must be one function"):
+            1.0 / stack
+
+    def test_stack_sup_norm_and_sup_diff(self):
+        # a support that cuts more nodes than the stack has rows: slicing the
+        # row axis instead of the node axis would find no node at all
+        g = make_grid(0.0, 1.0, 11)
+        values = np.array([np.arange(11.0), -np.arange(11.0) / 2.0])
+        stack = GridFunction(g, values, (3, 10))
+        assert sup_norm(stack) == 9.0
+        assert sup_norm(stack, window=(0.0, 0.5)) == 5.0
+        assert sup_diff(stack, GridFunction(g, np.zeros(11))) == 9.0
+        assert sup_diff(stack, GridFunction(g, values[::-1])) == max(abs(values[0] - values[1])[3:10])
+
+    def test_stack_hold_edges(self):
+        g = make_grid(0.0, 1.0, 11)
+        stack = GridFunction(g, np.array([np.arange(11.0), 10.0 - np.arange(11.0)]), (3, 10))
+        held = hold_edges(stack)
+        assert np.array_equal(held[0], [3.0] * 3 + list(range(3, 10)) + [9.0])
+        assert np.array_equal(held[1], [7.0] * 3 + list(range(7, 0, -1)) + [1.0])
+        for row, ref in zip(held, stack.values):
+            assert held.shape == (2, 11) and np.array_equal(row, hold_edges(GridFunction(g, ref, (3, 10))))
 
     def test_divide_by_a_zero_crossing_raises(self):
         g = make_grid(-1.0, 1.0, 201)

@@ -231,6 +231,29 @@ class TestBasis:
         assert all(f.grid is ou_spectrum.grid and f.support == full for f in ou_spectrum.states)
         assert not (ou_spectrum.values.flags.writeable or ou_spectrum.energies.flags.writeable)
 
+    @pytest.mark.parametrize(
+        "values, support, match",
+        [
+            ([[np.nan] * 11], (0, 11), "non-finite"),
+            ([[1.0] * 11], (5, 3), "unreliable on every node"),
+            ([[1.0] * 11], (0, 99), "unreliable on every node"),
+        ],
+    )
+    def test_impossible_inputs_rejected_at_construction(self, values, support, match):
+        with pytest.raises(ValueError, match=match):
+            spectral.Basis(make_grid(0.0, 1.0, 11), values, support, energies=[0.0])
+
+    @pytest.mark.parametrize("energies", [[0.0, 1.0], 0.0])
+    def test_one_state_per_level(self, energies):
+        with pytest.raises(ValueError, match="one state per level"):
+            spectral.Basis(make_grid(0.0, 1.0, 11), [[1.0] * 11], energies=energies)
+
+    def test_arithmetic_gives_a_plain_stack(self, ou_spectrum):
+        phi0 = ou_spectrum.state(0)
+        for r in (ou_spectrum + 1.0, 2.0 * ou_spectrum, ou_spectrum * phi0, -ou_spectrum):
+            assert type(r) is GridFunction and r.values.shape == ou_spectrum.values.shape
+        assert np.array_equal((ou_spectrum * phi0).values[3], (ou_spectrum.state(3) * phi0).values)
+
 
 class TestUnitState:
     @pytest.mark.parametrize("flip", [1.0, -1.0])
