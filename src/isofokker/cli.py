@@ -9,6 +9,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -26,7 +27,9 @@ from .grid import (
 from .isospectral import IsoParams, iso_pdf, reinstate
 from .mittag import mittag_leffler, ml_relaxation
 from .oracle import CnConfig, cn_evolve, gl_residual
-from .scenarios import box_scenario, custom_drift, hawking_temperature, ou_scenario, schwarzschild_potential
+from .scenarios import (
+    box_scenario, custom_drift, hawking_temperature, ou_reference_state, ou_scenario, schwarzschild_potential,
+)
 from .spectral import DriftSpec, build_hamiltonian, ground_state_to_drift, solve_spectrum
 
 SCHEMA_VERSION = 1
@@ -354,7 +357,7 @@ def verify_context() -> SimpleNamespace:
     OU drift on [-12, 12] with 2001 nodes and eight levels; a unit-mass
     Gaussian ``P0`` (mean 2, variance 1/2), its coefficients and its
     classical density ``P1`` at t = 1; the one-step Darboux chain, its
-    partner drift and its reinstatement with lambda = 0.5.
+    partner drift and its reinstatement with ``lam`` = 0.5.
     """
     grid = make_grid(-12.0, 12.0, 2001)
     drift = ou_scenario(grid)
@@ -363,9 +366,10 @@ def verify_context() -> SimpleNamespace:
     coeffs = project(P0, spectrum)
     P1 = evolve_pdf(FpeSolution(spectrum, coeffs, TemporalRule.classical()), 1.0)
     chain = build_chain(spectrum, 1)
+    lam = 0.5
     return SimpleNamespace(
         drift=drift, spectrum=spectrum, P0=P0, coeffs=coeffs, P1=P1, chain=chain,
-        partner=partner_drift(chain), deformation=reinstate(chain, IsoParams([0.5])),
+        partner=partner_drift(chain), lam=lam, deformation=reinstate(chain, IsoParams([lam])),
     )
 
 
@@ -374,8 +378,34 @@ def _fractional(ctx, alpha: float, t: float):
 
 
 def _cn_gap(drift, p0, p1) -> float:
-    """Sup distance of a spectral density at t = 1 from Crank-Nicolson started at p0."""
-    return sup_diff(p1, cn_evolve(drift, p0, CnConfig(dt=1e-3, t_end=1.0)))
+    """Sup distance of a spectral density at t = 1 from Crank-Nicolson started at p0.
+
+    The CN density is the Richardson value (4 P_dt - P_2dt) / 3 of runs at
+    dt = 5e-3 and 1e-2, which cancels the scheme's O(dt^2) error.
+    """
+    fine = cn_evolve(drift, p0, CnConfig(dt=5e-3, t_end=1.0))
+    coarse = cn_evolve(drift, p0, CnConfig(dt=1e-2, t_end=1.0))
+    return sup_diff(p1, (4.0 * fine - coarse) / 3.0)
+
+
+def _deformed_ground_gap(ctx) -> float:
+    """Sup distance of the unit deformed ground state from sqrt(lam (lam + 1)) phi_0 / (lam + K_00).
+
+    For OU with gamma = 1, K_00(x) = erfc(-x / sqrt 2) / 2 is the running
+    integral of phi_0^2 from the left wall.
+    """
+    grid = ctx.drift.grid
+    lam = ctx.lam
+    k00 = 0.5 * np.array([math.erfc(-x / math.sqrt(2.0)) for x in grid.x])
+    reference = ou_reference_state(grid, 0) * (math.sqrt(lam * (lam + 1.0)) / (lam + k00))
+    return sup_diff(ctx.deformation.state(0), reference)
+
+
+def _half_order_gap(ctx) -> float:
+    """Sup distance of the alpha = 1/2 density at t = 1 from modes with E_1/2(-z) = e^(z^2) erfc(z), z = eps_k."""
+    factors = np.array([math.exp(z * z) * math.erfc(z) for z in ctx.spectrum.energies])
+    reference = ctx.spectrum.state(0) * ((ctx.coeffs * factors) @ ctx.spectrum.values)
+    return sup_diff(_fractional(ctx, 0.5, 1.0), reference)
 
 
 def _schwarzschild_reconstruction(ctx) -> float:
@@ -390,25 +420,26 @@ def _schwarzschild_reconstruction(ctx) -> float:
 # The checks of `isofokker verify`, in report order; tests/test_acceptance.py runs the same list.
 VERIFY_CHECKS = (
     Check("ou_spectrum_vs_integers", 1e-3, lambda c: _max_abs(c.spectrum.energies - np.arange(8))),
-    Check("ou_spectral_vs_cn_t1", 5e-3, lambda c: _cn_gap(c.drift, c.P0, c.P1)),
+    Check("ou_spectral_vs_cn_t1", 5e-4, lambda c: _cn_gap(c.drift, c.P0, c.P1)),
     Check("ou_mass_conservation", 1e-6, lambda c: abs(integrate(c.P1) - c.coeffs[0])),
     Check("darboux_shape_invariance", 1e-3, lambda c: sup_diff(c.partner.D, c.drift.D, window=(-8.0, 8.0))),
     Check(
         "partner_spectral_vs_cn_t1",
-        5e-3,
+        5e-4,
         lambda c: _cn_gap(
             c.partner, partner_pdf(c.chain, c.coeffs, 0.0), partner_pdf(c.chain, c.coeffs, 1.0)
         ),
     ),
     Check(
         "deformed_spectral_vs_cn_t1",
-        5e-3,
+        5e-4,
         lambda c: _cn_gap(
             c.deformation.drift,
             iso_pdf(c.deformation, c.coeffs, 0.0),
             iso_pdf(c.deformation, c.coeffs, 1.0),
         ),
     ),
+    Check("deformed_ground_closed_form", 1e-4, _deformed_ground_gap),
     Check(
         "isospectrality_resolve",
         5e-3,
@@ -423,6 +454,7 @@ VERIFY_CHECKS = (
         1e-6,
         lambda c: abs(integrate(_fractional(c, 0.5, 2.0)) - c.coeffs[0]),
     ),
+    Check("half_order_density_vs_erfc_modes", 1e-10, _half_order_gap),
     Check("ml_classical_limit", 1e-10, lambda c: abs(mittag_leffler(1.0, -1.0) - math.exp(-1.0))),
     Check("ml_erfc_identity", 1e-8, lambda c: abs(mittag_leffler(0.5, -1.0) - math.e * math.erfc(1.0))),
     Check(
@@ -547,6 +579,7 @@ def _resolve(args, file_cfg: dict[str, str]) -> dict[str, object]:
 
 
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and return its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(_merge_dash_values(argv))
@@ -561,5 +594,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The ``isofokker`` script: :func:`main` in a process of its own.
+
+    Everything imported so far is moved out of the cyclic collector's
+    reach first, so the collections during the command and the ones at
+    interpreter shutdown skip the modules' objects; what the command
+    creates is collected as usual.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -368,7 +368,10 @@ def write_csv(path, columns: dict[str, GridFunction]) -> None:
         raise ValueError("no columns to write")
     first = next(iter(columns.values()))
     table = np.column_stack([first.grid.x] + [gf.values for gf in columns.values()])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(["x", *columns]), comments="")
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted by one % over the whole table
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(["x", *columns]) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,14 +12,19 @@ import numpy as np
 import pytest
 
 import isofokker.cli as cli
+import isofokker.darboux as darboux
+import isofokker.evolve as evolve
+import isofokker.isospectral as isospectral
 from isofokker.cli import VERIFY_CHECKS, UsageError, _initial_condition, main
 from isofokker.grid import (
     GridFunction, cumulative_integral, derivative, integrate, make_grid, read_csv_columns,
 )
+from isofokker.isospectral import IsoParams
 from isofokker.scenarios import ou_scenario, schwarzschild_potential
-from isofokker.spectral import build_hamiltonian, solve_spectrum
+from isofokker.spectral import DriftSpec, build_hamiltonian, solve_spectrum
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -569,6 +578,94 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["all_passed"] is False
         assert [c["passed"] for c in report["checks"]] == [False] + [True] * (len(failing) - 1)
+
+
+def _scaled_rates(monkeypatch):
+    factors = evolve.TemporalRule.factors
+    monkeypatch.setattr(
+        evolve.TemporalRule, "factors", lambda self, energies, t: factors(self, 1.02 * np.asarray(energies), t)
+    )
+
+
+def _raised_order(monkeypatch):
+    relaxation = evolve.ml_relaxation  # the fractional rule's factor; capped at the classical order 1
+    monkeypatch.setattr(evolve, "ml_relaxation", lambda alpha, eps, t: relaxation(min(alpha + 0.02, 1.0), eps, t))
+
+
+def _raised_stage_energies(monkeypatch):
+    step = darboux.darboux_step
+
+    def raised(chain):
+        new = step(chain)
+        stage = new.stage_states[-1]
+        stage = replace(stage, energies=stage.energies + 0.01 * (np.arange(len(stage)) > 0))
+        return replace(new, stage_states=new.stage_states[:-1] + (stage,))
+
+    monkeypatch.setattr(darboux, "darboux_step", raised)
+
+
+def _scaled_lambdas(monkeypatch):
+    reinstate = isospectral.reinstate
+    monkeypatch.setattr(
+        cli, "reinstate", lambda chain, params: reinstate(chain, IsoParams([1.05 * v for v in params.lambdas]))
+    )
+
+
+def _scaled_drifts(monkeypatch):
+    to_drift = darboux.ground_state_to_drift
+
+    def scaled(phi0):
+        drift = to_drift(phi0)
+        return DriftSpec(W=1.01 * drift.W, D=1.01 * drift.D)
+
+    monkeypatch.setattr(darboux, "ground_state_to_drift", scaled)
+    monkeypatch.setattr(isospectral, "ground_state_to_drift", scaled)
+
+
+@pytest.mark.parametrize(
+    "inject, caught_by",
+    [
+        (_scaled_rates, "ou_spectral_vs_cn_t1"),
+        (_raised_order, "half_order_density_vs_erfc_modes"),
+        (_raised_stage_energies, "partner_spectral_vs_cn_t1"),
+        (_scaled_lambdas, "deformed_ground_closed_form"),
+        (_scaled_drifts, "darboux_shape_invariance"),
+    ],
+    ids=["rates-x1.02", "alpha+0.02", "stage-energies+0.01", "lambda-x1.05", "drift-x1.01"],
+)
+def test_verify_fails_under_injected_defect(capsys, tmp_path, monkeypatch, inject, caught_by):
+    """Each defect verify must catch, injected by monkeypatch: exit 2, naming the check that sees it.
+
+    Without a defect verify exits 0 (``TestVerifyCommand``).
+    """
+    inject(monkeypatch)
+    rc, out, _ = run_cli(capsys, "verify", "--out", str(tmp_path))
+    assert rc == 2
+    assert caught_by in [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+
+def test_script_entry_runs_a_command_in_a_fresh_process(tmp_path):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isofokker.cli", "ml", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == "ml"
+    assert json.loads((tmp_path / "ml.json").read_text()) == report
+    assert (tmp_path / "mittag_leffler.csv").exists()
+
+
+def test_console_script_is_run(monkeypatch):
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^isofokker = "isofokker\.cli:run"$', scripts, re.MULTILINE)
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 0)
+    assert cli.run() == 0
+    assert calls == ["freeze", "main"]
 
 
 def readme_command_lines() -> list[str]:

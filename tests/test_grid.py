@@ -352,6 +352,21 @@ class TestCsv:
         assert np.array_equal(cols["x"], g.x)  # 17 significant digits round-trip exactly
         assert np.array_equal(cols["f"], f.values)
 
+    @pytest.mark.parametrize("ncols, special", [(1, False), (3, False), (8, False), (3, True)])
+    def test_bytes_equal_savetxt(self, tmp_path, ncols, special):
+        rng = np.random.default_rng(ncols)
+        g = make_grid(-3.0, 3.0, 41)
+        values = rng.standard_normal((ncols, g.n_points)) * 10.0 ** rng.integers(-20, 20, (ncols, g.n_points))
+        if special:
+            values[0, :6] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300]
+        columns = {f"f{j}": GridFunction(g, row) for j, row in enumerate(values)}
+        write_csv(tmp_path / "table.csv", columns)
+        np.savetxt(
+            tmp_path / "savetxt.csv", np.column_stack([g.x, *values]), fmt="%.17g", delimiter=",",
+            header=",".join(["x", *columns]), comments="",
+        )
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
     def test_headerless_columns_are_numbered(self, tmp_path):
         path = tmp_path / "bare.csv"
         path.write_text("0.5,1.5,2.5\n")

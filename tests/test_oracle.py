@@ -74,20 +74,36 @@ class TestCnEvolve:
             cn_evolve(ou_drift, p0, CnConfig(dt=1e-3, t_end=0.1))
 
 
+def _cn_banded(drift, cfg):
+    """The half step (dt/2) L as its three diagonals, and A = I - (dt/2) L in ``solve_banded`` layout."""
+    lower, diag, upper = (0.5 * cfg.dt * band for band in _flux_operator(drift))
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = -upper[:-1]
+    ab[1, :] = 1.0 - diag
+    ab[2, :-1] = -lower[1:]
+    return (lower, diag, upper), ab
+
+
 def _cn_reference(drift, P0, cfg):
-    """Crank-Nicolson steps with a banded factor-and-solve on every step."""
-    lower, diag, upper = _flux_operator(drift)
-    half = 0.5 * cfg.dt
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -half * upper[:-1]
-    ab[1, :] = 1.0 - half * diag
-    ab[2, :-1] = -half * lower[1:]
+    """Crank-Nicolson steps with a banded factor-and-solve on every step.
+
+    A step is 2 A^-1 p - p, the identity ``cn_evolve`` steps by.
+    """
+    _, ab = _cn_banded(drift, cfg)
     p = P0.values.copy()
     for _ in range(int(round(cfg.t_end / cfg.dt))):
-        rhs = p + half * (diag * p)
-        rhs[:-1] += half * upper[:-1] * p[1:]
-        rhs[1:] += half * lower[1:] * p[:-1]
+        p = 2.0 * solve_banded((1, 1), ab, p) - p
+    return p
+
+
+def _cn_explicit_product(drift, P0, cfg):
+    """Crank-Nicolson steps as written: A p_next = (I + (dt/2) L) p, the product formed explicitly."""
+    (lower, diag, upper), ab = _cn_banded(drift, cfg)
+    p = P0.values.copy()
+    for _ in range(int(round(cfg.t_end / cfg.dt))):
+        rhs = p + diag * p
+        rhs[:-1] += upper[:-1] * p[1:]
+        rhs[1:] += lower[1:] * p[:-1]
         p = solve_banded((1, 1), ab, rhs)
     return p
 
@@ -107,6 +123,30 @@ class TestCnFactorOnce:
         cfg = CnConfig(dt=1e-2, t_end=0.3)
         out = cn_evolve(drift, P0, cfg)
         assert np.array_equal(out.values, _cn_reference(drift, P0, cfg))
+
+
+class TestOneSolvePerStep:
+    """The one-solve step 2 A^-1 p - p is the CN step A^-1 (I + (dt/2) L) p up to round-off.
+
+    20 steps at verify's fine dt; the two forms round differently, and the
+    explicit product more, since (dt/2) L has entries near 70 on this grid.
+    """
+
+    CFG = CnConfig(dt=5e-3, t_end=0.1)
+
+    def _assert_close(self, drift, P0):
+        out = cn_evolve(drift, P0, self.CFG).values
+        ref = _cn_explicit_product(drift, P0, self.CFG)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_ou(self, ou_drift, gaussian_ic):
+        self._assert_close(ou_drift, gaussian_ic)
+
+    def test_two_step_partner_drift(self, ou_spectrum, gaussian_ic):
+        chain = build_chain(ou_spectrum, 2)
+        drift = partner_drift(chain)
+        P0 = partner_pdf(chain, project(gaussian_ic, ou_spectrum), 0.0)
+        self._assert_close(drift, P0)
 
 
 class TestSpectralVsCn:
