@@ -18,7 +18,7 @@ import numpy as np
 
 from .evolve import _expansion
 from .grid import GridFunction, _peak_run, _solve_per_node, derivative
-from .spectral import Basis, DriftSpec, Spectrum, _unit_rows, ground_state_to_drift
+from .spectral import Basis, DriftSpec, Spectrum, ground_state_to_drift, unit_states
 
 __all__ = [
     "DarbouxChain",
@@ -65,8 +65,8 @@ def _delete_lowest(basis: Basis, n: int) -> GridFunction:
     n-th ``derivative`` of the basis, at n >= 2 clear of the 2n nodes a side
     that read a one-sided edge row more than once; within it, the run around
     the peak of the denominator where it clears the floor (``grid._peak_run``,
-    which raises if the denominator has a zero inside).  Returns the unit,
-    sign-fixed rows, 0 outside the support.
+    which raises if the denominator has a zero inside).  Returns the rows in
+    the form of ``unit_states``, 0 outside the support.
     """
     derivs = [basis]
     for _ in range(n):
@@ -82,7 +82,7 @@ def _delete_lowest(basis: Basis, n: int) -> GridFunction:
         raise ValueError(f"denominator Wronskian unreliable: {exc}") from exc
     values = np.zeros(rows[n, n:].shape)
     values[:, a:z] = rows[n, n:, a:z] + sum(c * row for c, row in zip(ratios[:, a:z], rows[:n, n:, a:z]))
-    return GridFunction(basis.grid, _unit_rows(basis.grid, values), (a, z))
+    return unit_states(GridFunction(basis.grid, values, (a, z)))
 
 
 def darboux_step(chain: DarbouxChain) -> DarbouxChain:

@@ -91,11 +91,12 @@ class GridFunction:
     ``values`` has shape (..., N): the nodes lie on the last axis, and any
     leading axes index the functions of a stack.  Grid operations act
     along the last axis, so a stack behaves as its functions do one by
-    one; ``integrate``, ``interior_sign_changes`` and ``write_csv`` take
-    one function.  ``support`` is the half-open node range (a, z) of
-    reliable samples, one for the whole stack, the whole grid (0, N)
-    unless given; the values outside it are always stored as 0, so that
-    quadrature over an unreliable decaying tail stays harmless.
+    one; ``integrate``, ``interior_sign_changes``, ``write_csv`` and the
+    denominator of ``divide`` take one function and refuse a stack.
+    ``support`` is the half-open node range (a, z) of reliable samples,
+    one for the whole stack, the whole grid (0, N) unless given; the
+    values outside it are always stored as 0, so that quadrature over an
+    unreliable decaying tail stays harmless.
     """
 
     grid: Grid1D
@@ -176,9 +177,16 @@ def simpson_weights(grid: Grid1D) -> np.ndarray:
     return grid.simpson_weights
 
 
+def _one_function(f: GridFunction, name: str) -> np.ndarray:
+    """The values of ``f``, refused with ValueError if it is a stack: ``name`` takes one function."""
+    if f.values.ndim != 1:
+        raise ValueError(f"{name} takes one function, got a stack of shape {f.values.shape}")
+    return f.values
+
+
 def integrate(f: GridFunction) -> float:
     """Composite-Simpson integral of one function over [c1, c2]; O(h^4) for smooth samples."""
-    return float(simpson_weights(f.grid) @ f.values)
+    return float(simpson_weights(f.grid) @ _one_function(f, "integrate"))
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
@@ -357,8 +365,9 @@ def interior_sign_changes(f: GridFunction) -> int:
     tails) does not count as a node, nor does a node outside the support,
     where f is stored as 0.
     """
-    keep = np.abs(f.values) > SIGN_FLOOR_FRACTION * np.max(np.abs(f.values))
-    signs = np.sign(f.values[keep])
+    v = _one_function(f, "interior_sign_changes")
+    keep = np.abs(v) > SIGN_FLOOR_FRACTION * np.max(np.abs(v))
+    signs = np.sign(v[keep])
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
@@ -367,7 +376,8 @@ def write_csv(path, columns: dict[str, GridFunction]) -> None:
     if not columns:
         raise ValueError("no columns to write")
     first = next(iter(columns.values()))
-    table = np.column_stack([first.grid.x] + [gf.values for gf in columns.values()])
+    values = [_one_function(gf, f"write_csv column {name!r}") for name, gf in columns.items()]
+    table = np.column_stack([first.grid.x] + values)
     # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted by one % over the whole table
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:

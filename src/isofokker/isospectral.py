@@ -31,7 +31,7 @@ import numpy as np
 from .darboux import DarbouxChain
 from .evolve import _expansion
 from .grid import GridFunction, _solve_per_node, cumulative_integral
-from .spectral import Basis, DriftSpec, _unit_rows, ground_state_to_drift
+from .spectral import Basis, DriftSpec, ground_state_to_drift, unit_states
 
 __all__ = [
     "IsoParams",
@@ -91,10 +91,10 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
     M(x) y(x) = (phi_0..phi_{n-1})(x) with M = Lambda + G_{:, :n} by one
     elimination over all nodes, whose pivots also give det M(x), and takes
     phi^_j = y_j for j < n and phi^_k = phi_k - sum_j y_j G_jk for k >= n,
-    each renormalized and sign-fixed.  A parameter in the excluded interval
-    raises ValueError, and so does a det M(x) that changes sign on the grid,
-    which admissible parameters cannot produce; the sign is checked before
-    y is used.
+    each put in unit form by ``unit_states``.  A parameter in the excluded
+    interval raises ValueError, and so does a det M(x) that changes sign on
+    the grid, which admissible parameters cannot produce; the sign is
+    checked before y is used.
     """
     n = len(params)
     if n > chain.n_steps:
@@ -108,9 +108,9 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
     if not (np.all(det > 0.0) or np.all(det < 0.0)):
         raise ValueError("det M(x) changes sign on the grid; the parameter combination is inadmissible")
     high = phi[n:] - np.einsum("jx,jkx->kx", low, gram[:, n:])
-    values = _unit_rows(base.grid, np.concatenate((low, high)))
-    drift = ground_state_to_drift(GridFunction(base.grid, values[0]))
-    return IsoDeformation(base.grid, values, energies=base.energies, chain=chain, drift=drift)
+    states = unit_states(GridFunction(base.grid, np.concatenate((low, high))))
+    drift = ground_state_to_drift(GridFunction(base.grid, states.values[0]))
+    return IsoDeformation(base.grid, states.values, energies=base.energies, chain=chain, drift=drift)
 
 
 def iso_pdf(deformation: IsoDeformation, coeffs, t: float, temporal=None) -> GridFunction:

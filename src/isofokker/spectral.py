@@ -34,8 +34,7 @@ __all__ = [
     "build_hamiltonian",
     "solve_spectrum",
     "ground_state_to_drift",
-    "normalized",
-    "sign_fixed",
+    "unit_states",
 ]
 
 
@@ -118,37 +117,28 @@ class Spectrum(Basis):
         return len(self) - 1
 
 
-def _l2_norm(grid: Grid1D, values: np.ndarray) -> float:
-    nrm = np.sqrt(float(simpson_weights(grid) @ (values * values)))
-    if nrm == 0.0 or not np.isfinite(nrm):
-        raise ValueError("cannot normalize: zero or non-finite norm")
-    return float(nrm)
+def unit_states(f: GridFunction) -> GridFunction:
+    """Each function of ``f``, one state or a stack, at unit Simpson norm and leftmost lobe positive.
 
-
-def _leads_negative(values: np.ndarray) -> np.ndarray:
-    """Whether the leftmost significant sample is negative, along the last axis."""
-    absv = np.abs(values)
-    significant = absv > 1e-3 * np.max(absv, axis=-1, keepdims=True)
-    lead = np.take_along_axis(values, np.argmax(significant, axis=-1)[..., None], axis=-1)
-    return lead[..., 0] < 0
-
-
-def normalized(f: GridFunction) -> GridFunction:
-    """Scale to unit L2 norm under Simpson quadrature."""
-    return f / _l2_norm(f.grid, f.values)
-
-
-def sign_fixed(f: GridFunction) -> GridFunction:
-    """Flip sign so the leftmost significant lobe is positive (phi'(c1) > 0)."""
-    return -f if _leads_negative(f.values) else f
-
-
-def _unit_rows(grid: Grid1D, rows) -> np.ndarray:
-    """``sign_fixed(normalized(GridFunction(grid, row)))`` for every row, as one (k, N) array."""
-    v = np.array(rows, dtype=float, ndmin=2)
-    v /= np.array([_l2_norm(grid, row) for row in v])[:, None]
-    v[_leads_negative(v)] *= -1.0
-    return v
+    Eigenstates are fixed only up to scale and sign; this is the one rule
+    that fixes both.  Each function is divided by its own norm
+    sqrt(w @ (f * f)), w the Simpson weights, and then negated if its
+    leftmost sample above 1e-3 of its peak |f| is negative (phi'(c1) > 0
+    for a state rising off the left wall).  The support is kept.  A zero
+    or non-finite norm raises ValueError.
+    """
+    values = np.array(f.values)
+    rows = values.reshape(-1, values.shape[-1])
+    w = simpson_weights(f.grid)
+    for row in rows:  # one dot per function: a state's bits do not depend on its stack
+        nrm = np.sqrt(float(w @ (row * row)))
+        if nrm == 0.0 or not np.isfinite(nrm):
+            raise ValueError("cannot normalize: zero or non-finite norm")
+        row /= nrm
+        absv = np.abs(row)
+        if row[np.argmax(absv > 1e-3 * absv.max())] < 0:
+            row *= -1.0
+    return GridFunction(f.grid, values, f.support)
 
 
 def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
@@ -161,8 +151,6 @@ def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
     w2 = derivative(w1)
     V = w1 * w1 - w2
     vals = hold_edges(V)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("potential W'^2 - W'' is not finite on the grid")
     V = GridFunction(W.grid, vals)
     h = W.grid.h
     diag = 2.0 / h**2 + vals[1:-1]
@@ -223,8 +211,8 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
     CLUSTER_GAP of each other are the lowest kmax+1 bisected again to full
     precision; levels that are still equal raise RuntimeError.  Inverse
     iteration (LAPACK stein) gives the states, and the energies are their
-    Rayleigh quotients v^T T v.  States are embedded with Dirichlet zeros,
-    Simpson-normalized and sign-fixed.
+    Rayleigh quotients v^T T v.  States are embedded with Dirichlet zeros
+    and put in unit form by ``unit_states``.
 
     A ground energy e_0 within discretization error of zero is the zero
     mode: the factorized operator of a conservative process is non-negative
@@ -247,7 +235,7 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
         raise RuntimeError("eigenvalues not strictly increasing; resolution too coarse")
     full = np.zeros((kmax + 1, n))
     full[:, 1:-1] = vectors.T
-    return Spectrum(op.grid, _unit_rows(op.grid, full), energies=energies)
+    return Spectrum(op.grid, unit_states(GridFunction(op.grid, full)).values, energies=energies)
 
 
 def ground_state_to_drift(phi0: GridFunction) -> DriftSpec:

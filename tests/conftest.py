@@ -16,7 +16,7 @@ from isofokker import (
     solve_spectrum,
 )
 from isofokker.grid import GridFunction, cumulative_integral, derivative
-from isofokker.spectral import normalized, sign_fixed
+from isofokker.spectral import unit_states
 
 
 @pytest.fixture(scope="session")
@@ -188,12 +188,12 @@ def reinstate_reference(chain, lambdas) -> list:
         f = _floored_ratio(ones, dressed[s], _wide_floor(dressed[s]))
         for j in range(s - 1, -1, -1):
             f = _first_order(f, b_kernels[j], adjoint=True)
-        states.append(sign_fixed(normalized(f)))
+        states.append(unit_states(f))
     for k in range(n, chain.base.kmax + 1):
         f = chain.state(n, k)
         for j in range(n - 1, -1, -1):
             f = _first_order(f, b_kernels[j], adjoint=True)
-        states.append(sign_fixed(normalized(f)))
+        states.append(unit_states(f))
     return states
 
 
@@ -207,4 +207,4 @@ def crum_reference(base, n: int, k: int):
     den = wronskian_reference(lowest)
     bad = np.abs(den) < 1e-12 * np.max(np.abs(den))
     vals = np.where(bad, 0.0, num / np.where(bad, 1.0, den))
-    return sign_fixed(normalized(GridFunction(base.grid, vals, span(bad))))
+    return unit_states(GridFunction(base.grid, vals, span(bad)))

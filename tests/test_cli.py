@@ -447,6 +447,11 @@ class TestConfigHandling:
         assert len(report["eigenvalues"]) == 5
         assert report["eigenvalues"][1] == pytest.approx(2.0, abs=5e-3)
 
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a run\n\nkmax = 3  # levels\n   \n  # indented comment\ngamma = 2\n")
+        assert cli._load_config_file(str(cfg)) == {"kmax": "3", "gamma": "2"}
+
     def test_malformed_config_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scenario ou\n")

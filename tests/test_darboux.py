@@ -22,9 +22,8 @@ from isofokker.spectral import (
     Spectrum,
     build_hamiltonian,
     ground_state_to_drift,
-    normalized,
-    sign_fixed,
     solve_spectrum,
+    unit_states,
 )
 from isofokker.evolve import project
 
@@ -57,6 +56,11 @@ class TestDarbouxStep:
         chain = build_chain(ou_spectrum, 1)
         ref = sample(ou_grid, lambda x: -x)
         assert sup_diff(partner_drift(chain).D, ref, window=(-8, 8)) <= 1e-3
+
+    def test_deleted_level_rejected(self, ou_chain3):
+        assert ou_chain3.state(2, 2).values.tobytes() == ou_chain3.stage_states[2].values[0].tobytes()
+        with pytest.raises(IndexError, match="level 1 was deleted before stage 2"):
+            ou_chain3.state(2, 1)
 
     def test_step_needs_levels(self, ou_spectrum):
         chain = build_chain(ou_spectrum, 7)
@@ -112,7 +116,7 @@ class TestOneSupportPerBasis:
                 if j > 0:
                     # the same arithmetic, except the order of the one-sided edge
                     # sums where a wide ground state leaves the edges in the support
-                    ref = sign_fixed(normalized(g)).values
+                    ref = unit_states(g).values
                     assert np.max(np.abs(stage.values[j - 1] - ref)) <= 1e-15, (s, j)
 
     def test_crum_states_share_one_support(self, case, n_points):
@@ -326,6 +330,17 @@ class TestPartnerDrift:
             chain = build_chain(ou_spectrum, n)
             assert sup_diff(partner_drift(chain).D, ref, window=(-8, 8)) <= 1e-3
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: iterated stencil steps amplify round-off like h^-s, so at depth 4 "
+        "on 8001 nodes D_4 is off by about 2.75 (2.5e-3 at depth 3)",
+    )
+    def test_ou_four_steps_on_a_fine_grid(self):
+        g = make_grid(-12.0, 12.0, 8001)
+        spec = solve_spectrum(build_hamiltonian(ou_scenario(g).W), 8)
+        D4 = partner_drift(build_chain(spec, 4), 4).D
+        assert sup_diff(D4, sample(g, lambda x: -x), window=(-6, 6)) <= 1e-4
+
     def test_box_cross_check(self):
         # partner drift from the iterated route vs the Wronskian route
         g = make_grid(0.0, 1.0, 2001)
@@ -397,6 +412,11 @@ class TestPartnerPdf:
         chain = build_chain(ou_spectrum, 2)
         with pytest.raises(ValueError, match="vanish"):
             partner_pdf(chain, [1.0, 1.0], 0.0)
+
+    def test_chain_without_steps_rejected(self, ou_spectrum):
+        chain = DarbouxChain(ou_spectrum, (ou_spectrum,))
+        with pytest.raises(ValueError, match="no completed Darboux steps"):
+            partner_pdf(chain, np.ones(8), 0.0)
 
     def test_coefficient_count_checked(self, ou_spectrum):
         chain = build_chain(ou_spectrum, 1)

@@ -220,6 +220,13 @@ class TestLogDerivative:
         with pytest.raises(ValueError):
             log_derivative(sample(g, lambda x: np.zeros_like(x)))
 
+    def test_below_floor_on_every_node_of_the_support_rejected(self):
+        # the peak lies outside the numerator's support, where the denominator is 1e-20 of it
+        g = make_grid(0.0, 1.0, 41)
+        den = GridFunction(g, np.where(np.arange(41) == 30, 1.0, 1e-20))
+        with pytest.raises(ValueError, match="below floor on every node"):
+            divide(GridFunction(g, np.ones(41), (0, 10)), den)
+
     def test_floor_must_be_positive(self):
         g = make_grid(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="vanishes"):
@@ -283,6 +290,21 @@ class TestGridFunction:
             divide(den, stack)
         with pytest.raises(ValueError, match="denominator must be one function"):
             1.0 / stack
+
+    @pytest.mark.parametrize("op", ["integrate", "interior_sign_changes", "write_csv"])
+    def test_one_function_operations_refuse_a_stack(self, op, tmp_path):
+        g = make_grid(-5.0, 5.0, 41)
+        phi = np.exp(-(g.x**2))
+        # two node-free rows; read as one array, they change sign at the row boundary
+        stack = GridFunction(g, [phi, -phi])
+        call = {
+            "integrate": integrate,
+            "interior_sign_changes": interior_sign_changes,
+            "write_csv": lambda f: write_csv(tmp_path / "stack.csv", {"phi": f}),
+        }[op]
+        with pytest.raises(ValueError, match=rf"^{op}\b.*takes one function, got a stack of shape \(2, 41\)"):
+            call(stack)
+        assert not (tmp_path / "stack.csv").exists()
 
     def test_stack_sup_norm_and_sup_diff(self):
         # a support that cuts more nodes than the stack has rows: slicing the
@@ -396,6 +418,23 @@ class TestCsv:
         assert sup_norm(f) == pytest.approx(2.0)
         assert sup_norm(f, window=(-1.0, 0.5)) == pytest.approx(1.0)
         assert sup_diff(f, sample(g, lambda x: x + 1.0)) == pytest.approx(1.0)
+
+    def test_sup_norm_window_without_supported_node_rejected(self):
+        g = make_grid(-2.0, 2.0, 401)
+        f = GridFunction(g, g.x, (0, 150))
+        with pytest.raises(ValueError, match="no reliable nodes"):
+            sup_norm(f, window=(0.0, 1.0))
+
+    def test_no_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no columns"):
+            write_csv(tmp_path / "none.csv", {})
+        assert not (tmp_path / "none.csv").exists()
+
+    def test_rows_of_another_column_count_than_the_header_rejected(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x,P\n0,1,2\n1,2,3\n")
+        with pytest.raises(ValueError, match="wide.csv: 3 columns, 2 names"):
+            read_csv_columns(path)
 
 
 def _nodes_last(stack):

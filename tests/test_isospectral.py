@@ -14,9 +14,8 @@ from isofokker.scenarios import ou_scenario
 from isofokker.spectral import (
     build_hamiltonian,
     ground_state_to_drift,
-    normalized,
-    sign_fixed,
     solve_spectrum,
+    unit_states,
 )
 
 from conftest import reinstate_reference
@@ -88,7 +87,7 @@ class TestReinstate:
         # phi^_0 = phi0 / (I0 + lambda) up to normalization
         phi0 = ou_spectrum.state(0)
         I0 = cumulative_integral(phi0 * phi0)
-        ref = sign_fixed(normalized(phi0 * (1.0 / (I0 + 0.5))))
+        ref = unit_states(phi0 * (1.0 / (I0 + 0.5)))
         assert sup_diff(defo_half.states[0], ref) < 1e-10
 
     def test_single_parameter_excited_states_orthonormal(self, defo_half):

@@ -159,6 +159,16 @@ class TestCustomDrift:
         with pytest.raises(ValueError, match="finite"):
             custom_drift(path)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [("0,1,2\n1,2,3\n2,3,4\n", "expected two columns"), ("0,1\n1,2\n", "at least 3 samples")],
+    )
+    def test_wrong_shape_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            custom_drift(path)
+
     def test_non_uniform_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,1.0\n0.4,1.0\n1.0,1.0\n")

@@ -17,12 +17,10 @@ from isofokker.grid import (
 )
 from isofokker.scenarios import box_scenario, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
-    _unit_rows,
     build_hamiltonian,
     ground_state_to_drift,
-    normalized,
-    sign_fixed,
     solve_spectrum,
+    unit_states,
 )
 
 
@@ -128,6 +126,17 @@ class TestSolveSpectrum:
             v = ou_spectrum.state(k).values
             first = np.argmax(np.abs(v) > 1e-3 * np.max(np.abs(v)))
             assert v[first] > 0
+
+    def test_negative_kmax_rejected(self, ou_grid):
+        op = build_hamiltonian(sample(ou_grid, lambda x: x**2 / 4.0))
+        with pytest.raises(ValueError, match="kmax must be non-negative"):
+            solve_spectrum(op, -1)
+
+    def test_overflowing_potential_rejected(self):
+        # W'^2 overflows to inf, which no grid function holds
+        W = sample(make_grid(-1.0, 1.0, 41), lambda x: 1e200 * x**2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            build_hamiltonian(W)
 
     def test_resolution_guard(self, ou_grid):
         op = build_hamiltonian(sample(ou_grid, lambda x: x**2 / 4.0))
@@ -256,29 +265,54 @@ class TestBasis:
 
 
 class TestUnitState:
-    @pytest.mark.parametrize("flip", [1.0, -1.0])
-    @pytest.mark.parametrize("cut", [False, True])
-    def test_byte_identical_to_normalized_sign_fixed(self, ou_grid, flip, cut):
-        x = ou_grid.x
-        values = flip * 3.0 * x * np.exp(-(x**2) / 2.0)
-        values[0] = values[-1] = 0.0
-        support = None
-        if cut:
-            # non-zero samples outside the support |x| <= 10, which are dropped
-            support = (167, 1834)
-            values[:167] = values[1834:] = 7.0
-        stored = GridFunction(ou_grid, values, support)
-        ref = sign_fixed(normalized(stored))
-        got = _unit_rows(ou_grid, [stored.values, -2.0 * stored.values])
-        assert got.shape == (2, ou_grid.n_points)
-        # read as every caller stores them, with nodes outside the support at +0
-        for row in got:
-            assert GridFunction(ou_grid, row, support).values.tobytes() == ref.values.tobytes()
-        assert (ref.support != (0, ou_grid.n_points)) == cut
+    @staticmethod
+    def _reference(grid, row):
+        """Unit Simpson norm, then the leftmost sample above 1e-3 of the peak made positive."""
+        w = np.full(grid.n_points, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        unit = row / math.sqrt(grid.h / 3.0 * np.sum(w * row * row))
+        lead = unit[np.abs(unit) > 1e-3 * np.max(np.abs(unit))][0]
+        return -unit if lead < 0 else unit
 
-    def test_zero_norm_rejected(self, ou_grid):
+    @staticmethod
+    def _rows(x):
+        # different scales; the first two lead negative off the left wall, the third positive
+        rows = np.array(
+            [
+                3.0 * x * np.exp(-(x**2) / 2.0),
+                -0.02 * np.exp(-(x**2) / 4.0),
+                50.0 * (x**2 - 1.0) * np.exp(-(x**2) / 2.0),
+            ]
+        )
+        rows[:, 0] = rows[:, -1] = 0.0
+        return rows
+
+    @pytest.mark.parametrize("support", [None, (167, 1700)])
+    def test_stack_is_its_rows_and_the_reference(self, ou_grid, support):
+        rows = self._rows(ou_grid.x)
+        if support is not None:
+            # non-zero samples outside the support, which are dropped
+            rows[:, : support[0]] = rows[:, support[1] :] = 7.0
+        stack = GridFunction(ou_grid, rows, support)
+        got = unit_states(stack)
+        assert got.values.shape == (3, ou_grid.n_points) and got.support == stack.support
+        for i, row in enumerate(stack.values):
+            one = unit_states(GridFunction(ou_grid, row, support))
+            assert one.support == stack.support
+            assert one.values.tobytes() == got.values[i].tobytes(), i
+            assert np.max(np.abs(got.values[i] - self._reference(ou_grid, row))) <= 1e-14, i
+        # x = -2.4: the first two rows are negated, the third is kept
+        assert np.array_equal(np.sign(got.values[:, 800] * stack.values[:, 800]), [-1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize("zero", [0, 2])
+    def test_zero_row_rejected(self, ou_grid, zero):
+        rows = self._rows(ou_grid.x)
+        rows[zero] = 0.0
         with pytest.raises(ValueError, match="normalize"):
-            _unit_rows(ou_grid, np.zeros(ou_grid.n_points))
+            unit_states(GridFunction(ou_grid, rows))
+        with pytest.raises(ValueError, match="normalize"):
+            unit_states(GridFunction(ou_grid, rows[zero]))
 
 
 class TestGroundStateToDrift:
