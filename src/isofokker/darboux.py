@@ -82,7 +82,7 @@ def _delete_lowest(basis: Basis, n: int) -> GridFunction:
         raise ValueError(f"denominator Wronskian unreliable: {exc}") from exc
     values = np.zeros(rows[n, n:].shape)
     values[:, a:z] = rows[n, n:, a:z] + sum(c * row for c, row in zip(ratios[:, a:z], rows[:n, n:, a:z]))
-    return unit_states(GridFunction(basis.grid, values, (a, z)))
+    return unit_states(GridFunction._adopt(basis.grid, values, (a, z)))
 
 
 def darboux_step(chain: DarbouxChain) -> DarbouxChain:

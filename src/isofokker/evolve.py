@@ -47,11 +47,12 @@ class TemporalRule:
         numerical zero mode and snaps to 0.
         """
         eps = np.asarray(energies, dtype=float)
-        if not np.isfinite(eps).all():
+        lo, hi = (eps.min(), eps.max()) if eps.size else (0.0, 0.0)  # NaN if an entry is
+        if not (-np.inf < lo and hi < np.inf):
             raise ValueError(f"relaxation rate must be finite, got {eps[~np.isfinite(eps)][0]}")
-        if eps.size and eps.min() < 0.0:
-            if eps.min() < -1e-8:
-                raise ValueError(f"negative relaxation rate {eps.min()}")
+        if lo < 0.0:
+            if lo < -1e-8:
+                raise ValueError(f"negative relaxation rate {lo}")
             eps = np.maximum(eps, 0.0)
         if self.alpha is not None:
             return ml_relaxation(self.alpha, eps, t)
@@ -124,8 +125,8 @@ def _expansion(basis: Basis, coeffs, t: float, temporal: TemporalRule | None, no
         mass = float(simpson_weights(basis.grid) @ values)
         if abs(mass) < 1e-12:
             raise ValueError("expansion carries (near-)zero total mass; cannot normalize")
-        values = values / mass
-    return GridFunction(basis.grid, values, basis.support)
+        values /= mass
+    return GridFunction._adopt(basis.grid, values, basis.support)
 
 
 def evolve_pdf(sol: FpeSolution, t: float) -> GridFunction:

@@ -104,7 +104,24 @@ class GridFunction:
     support: tuple[int, int] | None = None
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        self._settle(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, grid: Grid1D, values: np.ndarray, support: tuple[int, int] | None = None) -> "GridFunction":
+        """A grid function that takes ``values`` over without a copy.
+
+        For a float array that its caller has just built and holds no other
+        reference to: it gets the same zeroing outside the support, the same
+        finiteness check and the same read-only flag as a copy would.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "support", support)
+        f._settle(np.asarray(values, dtype=float))
+        return f
+
+    def _settle(self, values: np.ndarray) -> None:
+        """Check ``values`` against the grid and the support, zero them outside it, and keep them read-only."""
         n = self.grid.n_points
         if values.shape[-1:] != (n,):
             raise ValueError(f"values shape {values.shape} does not end in the grid's {n} nodes")
@@ -135,31 +152,31 @@ class GridFunction:
 
     def __add__(self, other):
         values, support = self._other(other)
-        return GridFunction(self.grid, self.values + values, support)
+        return GridFunction._adopt(self.grid, self.values + values, support)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         values, support = self._other(other)
-        return GridFunction(self.grid, self.values - values, support)
+        return GridFunction._adopt(self.grid, self.values - values, support)
 
     def __mul__(self, other):
         values, support = self._other(other)
-        return GridFunction(self.grid, self.values * values, support)
+        return GridFunction._adopt(self.grid, self.values * values, support)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, GridFunction):
             return divide(self, other)
-        return GridFunction(self.grid, self.values / float(other), self.support)
+        return GridFunction._adopt(self.grid, self.values / float(other), self.support)
 
     def __rtruediv__(self, other):
-        num = GridFunction(self.grid, np.full(self.grid.n_points, float(other)))
+        num = GridFunction._adopt(self.grid, np.full(self.grid.n_points, float(other)))
         return divide(num, self)
 
     def __neg__(self):
-        return GridFunction(self.grid, -self.values, self.support)
+        return GridFunction._adopt(self.grid, -self.values, self.support)
 
 
 def make_grid(c1: float, c2: float, n_points: int) -> Grid1D:
@@ -205,7 +222,7 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     lo, mid, hi = v[..., 0:-2:2], v[..., 1:-1:2], v[..., 2::2]
     out[..., 2::2] = np.cumsum((h / 3.0) * (lo + 4.0 * mid + hi), axis=-1)
     out[..., 1::2] = out[..., 0:-2:2] + (h / 12.0) * (5.0 * lo + 8.0 * mid - hi)
-    return GridFunction(f.grid, out)
+    return GridFunction._adopt(f.grid, out)
 
 
 # 4th-order one-sided stencils for the two boundary bands (divided by 12h).
@@ -233,7 +250,7 @@ def derivative(f: GridFunction) -> GridFunction:
     out[..., -2] = -(v[..., :-6:-1] @ _EDGE1) / (12.0 * h)
     out[..., -1] = -(v[..., :-6:-1] @ _EDGE0) / (12.0 * h)
     a, z = f.support
-    return GridFunction(f.grid, out, (a + 2 if a > 0 else 0, z - 2 if z < n else n))
+    return GridFunction._adopt(f.grid, out, (a + 2 if a > 0 else 0, z - 2 if z < n else n))
 
 
 def _peak_run(den: np.ndarray, support: tuple[int, int]) -> tuple[int, int]:
@@ -318,7 +335,7 @@ def divide(num: GridFunction, den: GridFunction) -> GridFunction:
     a, z = _peak_run(dv, support)
     out = np.zeros(num.values.shape)
     out[..., a:z] = num.values[..., a:z] / dv[a:z]
-    return GridFunction(num.grid, out, (a, z))
+    return GridFunction._adopt(num.grid, out, (a, z))
 
 
 def log_derivative(f: GridFunction) -> GridFunction:
@@ -389,7 +406,8 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
 
     A first row that is not all numbers is the header; a headerless file's
     columns are named col0, col1, ...  At least one data row must follow,
-    and every entry must be finite.
+    every data row must have one entry per name (text after a ``#`` is a
+    comment), and every entry must be finite.
     """
     with open(path) as fh:
         names = [n.strip() for n in fh.readline().strip().split(",")]
@@ -400,14 +418,14 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
         else:
             fh.seek(0)
             names = [f"col{i}" for i in range(len(names))]
-        rows = [line for line in fh if line.strip()]
+        rows = [row for row in (line.split("#", 1)[0] for line in fh) if row.strip()]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.genfromtxt(rows, delimiter=",")
-    if data.ndim == 1:
-        data = data.reshape(-1, len(names))
-    if data.shape[1] != len(names):
-        raise ValueError(f"malformed CSV {path}: {data.shape[1]} columns, {len(names)} names")
+    for i, row in enumerate(rows, 1):
+        width = row.count(",") + 1
+        if width != len(names):
+            raise ValueError(f"malformed CSV {path}: {width} columns, {len(names)} names in data row {i}")
+    data = np.genfromtxt(rows, delimiter=",", ndmin=2)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite entries")
     return {name: data[:, i] for i, name in enumerate(names)}

@@ -101,14 +101,14 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         raise ValueError(f"{n} parameters but chain has only {chain.n_steps} steps")
     base = chain.base
     phi = base.values
-    gram = cumulative_integral(GridFunction(base.grid, phi[:n, None] * phi)).values  # (n, kmax+1, nodes)
+    gram = cumulative_integral(GridFunction._adopt(base.grid, phi[:n, None] * phi)).values  # (n, kmax+1, nodes)
     for s, lam in enumerate(params.lambdas):
         _check_admissible(lam, float(gram[s, s, -1]), s)
     det, low = _solve_per_node(gram[:, :n] + np.diag(params.lambdas)[..., None], phi[:n])
     if not (np.all(det > 0.0) or np.all(det < 0.0)):
         raise ValueError("det M(x) changes sign on the grid; the parameter combination is inadmissible")
     high = phi[n:] - np.einsum("jx,jkx->kx", low, gram[:, n:])
-    states = unit_states(GridFunction(base.grid, np.concatenate((low, high))))
+    states = unit_states(GridFunction._adopt(base.grid, np.concatenate((low, high))))
     drift = ground_state_to_drift(GridFunction(base.grid, states.values[0]))
     return IsoDeformation(base.grid, states.values, energies=base.energies, chain=chain, drift=drift)
 

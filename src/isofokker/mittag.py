@@ -21,12 +21,17 @@ geometrically in N, but its largest term grows like e^(0.1309 N), so more
 nodes lose digits to round-off (48 nodes are worse than 32).  At N = 32 the
 error is ~1e-14 absolute for every 0 < alpha < 1 and x >= 0.
 
-Every evaluation also runs the N = 24 rule, whose error is ~2e-11, and
+Every evaluation also takes the N = 24 rule, whose error is ~2e-11, and
 raises ArithmeticError when the two differ by more than 1e-10, the accuracy
-contract.  alpha = 1 is the exponential; x = 0 gives exactly 1.
+contract.  Both rules come from one reciprocal 1/(s^alpha + x) over their
+28 nodes, and s^alpha with the weights w s^alpha / s is kept per order
+alpha, so that repeated calls at a few orders pay for the powers once.
+alpha = 1 is the exponential; x = 0 gives exactly 1.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,11 +54,37 @@ _RULE = _half_rule(NODES)
 _GUARD_RULE = _half_rule(GUARD_NODES)
 
 
-def _contour_sum(alpha: float, x: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Trapezoid value of E_alpha(-x) with one rule's nodes and weights."""
-    s, w = rule
-    sa = s**alpha
-    return np.imag((1.0 / (sa + x[..., None])) @ (w * sa / s))
+# What _order_nodes returns, per order alpha and its type, and the
+# (_RULE, _GUARD_RULE) it was built from.
+_ORDER_NODES: dict[tuple[type, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_ORDER_NODES_RULES: list = [None, None]
+ORDER_NODES_KEPT = 32
+
+
+def _order_nodes(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s^alpha over the main rule's nodes, then the guard rule's, and each rule's weights w s^alpha / s.
+
+    Kept per alpha, for at most ORDER_NODES_KEPT orders (the oldest goes
+    first); all are dropped once ``_RULE`` or ``_GUARD_RULE`` is rebound.
+    The type of alpha is part of the key: numpy takes s**0.5 as a square
+    root for a Python float exponent only, a last-bit difference from the
+    power of a numpy 0.5.
+    """
+    if _ORDER_NODES_RULES[0] is not _RULE or _ORDER_NODES_RULES[1] is not _GUARD_RULE:
+        _ORDER_NODES.clear()
+        _ORDER_NODES_RULES[:] = _RULE, _GUARD_RULE
+    key = (type(alpha), alpha)
+    nodes = _ORDER_NODES.get(key)
+    if nodes is None:
+        rules = (_RULE, _GUARD_RULE)
+        sa = [s**alpha for s, _ in rules]
+        nodes = (np.concatenate(sa), *(w * a / s for (s, w), a in zip(rules, sa)))
+        for a in nodes:
+            a.setflags(write=False)
+        if len(_ORDER_NODES) >= ORDER_NODES_KEPT:
+            del _ORDER_NODES[next(iter(_ORDER_NODES))]
+        _ORDER_NODES[key] = nodes
+    return nodes
 
 
 def _check_alpha(alpha: float) -> None:
@@ -65,8 +96,11 @@ def _decay(alpha: float, x: np.ndarray) -> np.ndarray:
     """E_alpha(-x) elementwise for x >= 0 (no NaN) and a checked alpha."""
     if alpha == 1.0:
         return np.exp(-x)
-    value = _contour_sum(alpha, x, _RULE)
-    gap = float(np.max(np.abs(value - _contour_sum(alpha, x, _GUARD_RULE)), initial=0.0))
+    sa, weights, guard_weights = _order_nodes(alpha)
+    inverse = 1.0 / (sa + x[..., None])
+    main = len(weights)
+    value = np.imag(inverse[..., :main] @ weights)
+    gap = float(np.abs(value - np.imag(inverse[..., main:] @ guard_weights)).max(initial=0.0))
     if not gap <= GUARD_TOL:
         raise ArithmeticError(
             f"E_{alpha} contour rules with {NODES} and {GUARD_NODES} nodes differ by "
@@ -88,10 +122,23 @@ def mittag_leffler(alpha: float, z):
     """
     _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
-    bad = z[~(z <= 0.0)]
-    if bad.size:
-        raise ValueError(f"only non-positive arguments are supported, got z={bad[0]}")
+    if z.size and not z.max() <= 0.0:
+        raise ValueError(f"only non-positive arguments are supported, got z={z[~(z <= 0.0)][0]}")
     return _as_result(_decay(alpha, -z))
+
+
+def _check_nonnegative(a: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first entry of ``a`` that is negative or not finite.
+
+    One pass of reductions: ``float`` of a 0-d array, else its min and max,
+    which are NaN if an entry is; the entry is looked up only on failure.
+    """
+    if a.ndim == 0:
+        ok = 0.0 <= float(a) < math.inf
+    else:
+        ok = not a.size or (a.min() >= 0.0 and a.max() < math.inf)
+    if not ok:
+        raise ValueError(f"{what} must be finite and non-negative, got {a[~(np.isfinite(a) & (a >= 0.0))][0]}")
 
 
 def ml_relaxation(alpha: float, eps, t):
@@ -104,10 +151,6 @@ def ml_relaxation(alpha: float, eps, t):
     _check_alpha(alpha)
     eps = np.asarray(eps, dtype=float)
     t = np.asarray(t, dtype=float)
-    bad_eps = eps[~(np.isfinite(eps) & (eps >= 0.0))]
-    bad_t = t[~(np.isfinite(t) & (t >= 0.0))]
-    if bad_eps.size:
-        raise ValueError(f"relaxation rate must be finite and non-negative, got {bad_eps[0]}")
-    if bad_t.size:
-        raise ValueError(f"time must be finite and non-negative, got {bad_t[0]}")
+    _check_nonnegative(eps, "relaxation rate")
+    _check_nonnegative(t, "time")
     return _as_result(_decay(alpha, eps * t**alpha))

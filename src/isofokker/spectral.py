@@ -138,18 +138,26 @@ def unit_states(f: GridFunction) -> GridFunction:
         absv = np.abs(row)
         if row[np.argmax(absv > 1e-3 * absv.max())] < 0:
             row *= -1.0
-    return GridFunction(f.grid, values, f.support)
+    return GridFunction._adopt(f.grid, values, f.support)
 
 
 def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
     """Assemble H = -d2/dx2 + W'^2 - W'' on the grid of W.
 
     The second-order stencil gives diag_i = 2/h^2 + V(x_i) and
-    offdiag = -1/h^2 with Dirichlet ends.
+    offdiag = -1/h^2 with Dirichlet ends.  A prepotential whose W', W''
+    or W'^2 - W'' overflows float64 raises ValueError.
     """
-    w1 = derivative(W)
-    w2 = derivative(w1)
-    V = w1 * w1 - w2
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            w1 = derivative(W)
+            w2 = derivative(w1)
+            V = w1 * w1 - w2
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"potential V = W'^2 - W'' overflows float64 for this prepotential W "
+            f"(max |W| = {np.max(np.abs(W.values)):.3g}): {exc}"
+        ) from None
     vals = hold_edges(V)
     V = GridFunction(W.grid, vals)
     h = W.grid.h
@@ -251,4 +259,4 @@ def ground_state_to_drift(phi0: GridFunction) -> DriftSpec:
     a, z = _peak_run(phi0.values, phi0.support)
     W = np.zeros(phi0.grid.n_points)
     W[a:z] = -np.log(np.abs(phi0.values[a:z]))
-    return DriftSpec(W=GridFunction(phi0.grid, W, (a, z)), D=D)
+    return DriftSpec(W=GridFunction._adopt(phi0.grid, W, (a, z)), D=D)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -255,6 +256,19 @@ class TestGridFunction:
         assert np.array_equal(f.values, np.broadcast_to([0.0] * 3 + [1.0] * 7 + [0.0], shape))
         assert GridFunction(g, np.ones(shape)).support == (0, 11)
 
+    @pytest.mark.parametrize("shape", [(11,), (2, 11)])
+    def test_adopted_values_match_a_copy_without_copying(self, shape):
+        g = make_grid(0.0, 1.0, 11)
+        built = np.arange(float(np.prod(shape))).reshape(shape) + 1.0
+        copied = GridFunction(g, built, (3, 10))
+        adopted = GridFunction._adopt(g, built, (3, 10))
+        assert adopted.values is built and not built.flags.writeable
+        assert adopted.support == copied.support and adopted.values.tobytes() == copied.values.tobytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            GridFunction._adopt(g, np.full(shape, np.nan))
+        with pytest.raises(ValueError, match="unreliable on every node"):
+            GridFunction._adopt(g, np.ones(shape), (4, 4))
+
     @pytest.mark.parametrize("support", [(4, 4), (5, 3), (-1, 5), (0, 12)])
     def test_support_without_nodes_rejected(self, support):
         with pytest.raises(ValueError, match="unreliable on every node"):
@@ -430,11 +444,26 @@ class TestCsv:
             write_csv(tmp_path / "none.csv", {})
         assert not (tmp_path / "none.csv").exists()
 
-    def test_rows_of_another_column_count_than_the_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("x,P\n0,1,2\n1,2,3\n", "3 columns, 2 names in data row 1"),
+            ("x,D\n0,1,2\n", "3 columns, 2 names in data row 1"),  # one row
+            ("x,D\n0\n1\n2\n", "1 columns, 2 names in data row 1"),  # one column
+            ("x,D\n0\n1\n", "1 columns, 2 names in data row 1"),  # would reshape to one row
+            ("x,D\n0,1\n1,2,3\n2,3\n", "3 columns, 2 names in data row 2"),  # a middle row
+        ],
+    )
+    def test_rows_of_another_column_count_than_the_header_rejected(self, tmp_path, text, match):
         path = tmp_path / "wide.csv"
-        path.write_text("x,P\n0,1,2\n1,2,3\n")
-        with pytest.raises(ValueError, match="wide.csv: 3 columns, 2 names"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^malformed CSV {re.escape(str(path))}: {match}$"):
             read_csv_columns(path)
+
+    def test_comment_rows_and_tails_skipped(self, tmp_path):
+        path = tmp_path / "commented.csv"
+        path.write_text("x,P\n0,1\n# a note\n1,2 # a tail\n")
+        assert {k: v.tolist() for k, v in read_csv_columns(path).items()} == {"x": [0.0, 1.0], "P": [1.0, 2.0]}
 
 
 def _nodes_last(stack):

@@ -10,6 +10,8 @@ import pytest
 from scipy.special import erfc, erfcx, rgamma
 
 from conftest import ml_series_reference
+from isofokker import evolve, mittag
+from isofokker.evolve import TemporalRule
 from isofokker.mittag import mittag_leffler, ml_relaxation
 
 
@@ -225,3 +227,144 @@ def test_import_does_not_load_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _two_pass(alpha: float, x: np.ndarray) -> np.ndarray:
+    """E_alpha(-x) with each contour rule evaluated on its own, s^alpha recomputed per rule.
+
+    The evaluator before the rules shared one reciprocal: the fused
+    evaluation must give these bytes and raise where this guard does.
+    """
+
+    def contour_sum(rule):
+        s, w = rule
+        sa = s**alpha
+        return np.imag((1.0 / (sa + x[..., None])) @ (w * sa / s))
+
+    value = contour_sum(mittag._RULE)
+    gap = float(np.max(np.abs(value - contour_sum(mittag._GUARD_RULE)), initial=0.0))
+    if not gap <= mittag.GUARD_TOL:
+        raise ArithmeticError(f"guard gap {gap:.3g}")
+    return np.where(x == 0.0, 1.0, value)
+
+
+_FUSED_XS = [
+    np.array(0.0),
+    np.array(2.5),
+    np.concatenate([[0.0], np.logspace(-3, 3, 7)]),
+    np.concatenate([[0.0], np.logspace(-3, 4, 23)]).reshape(3, 8),
+]
+
+
+class TestFusedRules:
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.4, 0.5, 0.55, 0.7, 0.75, 0.9, 0.95, 0.3183])
+    def test_bytes_equal_two_separate_rules(self, alpha):
+        # a Python float and a numpy order, in both orders of first use:
+        # numpy takes s**0.5 as a square root for the Python float only
+        for order in ((alpha, np.float64(alpha)), (np.float64(alpha), alpha)):
+            mittag._ORDER_NODES.clear()
+            for a in order:
+                for x in _FUSED_XS:
+                    value = np.asarray(mittag_leffler(a, -x))
+                    assert value.shape == x.shape
+                    assert value.tobytes() == _two_pass(a, x).tobytes(), (type(a), x.shape)
+
+    @pytest.mark.parametrize("rules", [(32, 20), (32, 22), (26, 22)])
+    def test_guard_raises_where_two_passes_do(self, monkeypatch, rules):
+        # rules coarse enough that the guard passes at some points and fails at others
+        monkeypatch.setattr(mittag, "_RULE", mittag._half_rule(rules[0]))
+        monkeypatch.setattr(mittag, "_GUARD_RULE", mittag._half_rule(rules[1]))
+        outcomes = set()
+        for alpha in (0.3, 0.5, 0.8, 0.95):
+            for x in [*_FUSED_XS, *np.logspace(-3, 1, 9)]:
+                x = np.asarray(x)
+                try:
+                    expected = _two_pass(alpha, x)
+                except ArithmeticError:
+                    outcomes.add("raised")
+                    with pytest.raises(ArithmeticError, match="differ"):
+                        mittag_leffler(alpha, -x)
+                else:
+                    outcomes.add("passed")
+                    assert np.asarray(mittag_leffler(alpha, -x)).tobytes() == expected.tobytes()
+        assert outcomes == {"raised", "passed"}
+
+    def test_guard_rejects_a_coarse_rule_after_a_warm_call(self, request):
+        # the nodes kept for alpha = 0.5 from the fine rules must not outlive the swap
+        assert mittag_leffler(0.5, -1.0) == pytest.approx(math.e * erfc(1.0), abs=1e-10)
+        request.getfixturevalue("coarse_ml_rule")
+        with pytest.raises(ArithmeticError, match="differ"):
+            mittag_leffler(0.5, -1.0)
+
+    def test_fine_rules_return_after_a_coarse_swap(self, monkeypatch):
+        monkeypatch.setattr(mittag, "_RULE", mittag._half_rule(8))
+        monkeypatch.setattr(mittag, "_GUARD_RULE", mittag._half_rule(6))
+        with pytest.raises(ArithmeticError):
+            mittag_leffler(0.5, -1.0)
+        monkeypatch.undo()
+        assert mittag_leffler(0.5, -1.0) == pytest.approx(math.e * erfc(1.0), abs=1e-10)
+
+    def test_kept_orders_stay_bounded(self):
+        x = np.array([0.0, 0.5, 4.0])
+        for alpha in np.linspace(0.05, 0.95, 200):
+            assert np.asarray(mittag_leffler(alpha, -x)).tobytes() == _two_pass(alpha, x).tobytes()
+        assert len(mittag._ORDER_NODES) <= mittag.ORDER_NODES_KEPT
+        # an order evicted long ago is rebuilt to the same bytes
+        assert np.asarray(mittag_leffler(0.05, -x)).tobytes() == _two_pass(0.05, x).tobytes()
+
+
+_BAD = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-1.0, "-1.0")]
+
+
+class TestInputMessages:
+    """The messages name the first offending entry, for a scalar and an array alike."""
+
+    @pytest.mark.parametrize("bad, shown", _BAD)
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_ml_relaxation_rate(self, bad, shown, as_array):
+        eps = [0.0, 2.0, bad, -2.0, math.nan] if as_array else bad
+        with pytest.raises(ValueError, match=f"^relaxation rate must be finite and non-negative, got {shown}$"):
+            ml_relaxation(0.5, eps, 1.0)
+
+    @pytest.mark.parametrize("bad, shown", _BAD)
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_ml_relaxation_time(self, bad, shown, as_array):
+        t = [0.0, 2.0, bad, -2.0, math.nan] if as_array else bad
+        with pytest.raises(ValueError, match=f"^time must be finite and non-negative, got {shown}$"):
+            ml_relaxation(0.5, [0.0, 1.0], np.asarray(t)[:, None] if as_array else t)
+
+    def test_ml_relaxation_rate_checked_before_time(self):
+        with pytest.raises(ValueError, match="^relaxation rate .* got -1.0$"):
+            ml_relaxation(0.5, -1.0, math.nan)
+
+    @pytest.mark.parametrize("bad, shown", _BAD[:3])
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_factors_non_finite_rate(self, bad, shown, alpha):
+        with pytest.raises(ValueError, match=f"^relaxation rate must be finite, got {shown}$"):
+            TemporalRule(alpha).factors([0.0, -1.0, bad, math.nan], 1.0)
+
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_factors_negative_rate(self, alpha):
+        with pytest.raises(ValueError, match=r"^negative relaxation rate -0.5$"):
+            TemporalRule(alpha).factors([0.0, -1e-9, -0.5, 1.0], 1.0)
+        assert TemporalRule(alpha).factors([-1e-9, 1.0], 0.0).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("bad, shown", _BAD)
+    @pytest.mark.parametrize("t_shape", [(), (3, 1)])
+    def test_factors_time(self, bad, shown, t_shape):
+        t = np.array([0.5, bad, math.nan]).reshape(t_shape) if t_shape else bad
+        rules = [TemporalRule(0.5)] + ([TemporalRule()] if not t_shape else [])
+        for rule in rules:
+            with pytest.raises(ValueError, match=f"^time must be finite and non-negative, got {shown}$"):
+                rule.factors([0.0, 1.0], t)
+
+    def test_factors_reach_ml_relaxation_through_evolve(self, monkeypatch):
+        calls = []
+
+        def spy(alpha, eps, t):
+            calls.append((alpha, eps.tolist(), t))
+            return ml_relaxation(alpha, eps, t)
+
+        monkeypatch.setattr(evolve, "ml_relaxation", spy)
+        TemporalRule(0.5).factors([0.0, 1.0], 2.0)
+        assert calls == [(0.5, [0.0, 1.0], 2.0)]

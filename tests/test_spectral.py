@@ -132,10 +132,14 @@ class TestSolveSpectrum:
         with pytest.raises(ValueError, match="kmax must be non-negative"):
             solve_spectrum(op, -1)
 
-    def test_overflowing_potential_rejected(self):
-        # W'^2 overflows to inf, which no grid function holds
-        W = sample(make_grid(-1.0, 1.0, 41), lambda x: 1e200 * x**2)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+    @pytest.mark.parametrize(
+        "W", [lambda x: 1e200 * x**2, lambda x: 1.7e308 * np.sin(x)], ids=["square", "derivative"]
+    )
+    def test_overflowing_potential_rejected(self, W):
+        # W'^2 (first) or the stencil of W' itself (second) overflows float64:
+        # a ValueError naming the potential, raised before numpy can warn
+        W = sample(make_grid(-1.0, 1.0, 41), W)
+        with pytest.raises(ValueError, match=r"potential V = W'\^2 - W'' overflows float64"):
             build_hamiltonian(W)
 
     def test_resolution_guard(self, ou_grid):
