@@ -64,7 +64,7 @@ class Command(NamedTuple):
 def _load_config_file(path: str) -> dict[str, str]:
     cfg = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -166,7 +166,7 @@ def _emit(cfg, **fields) -> None:
         "config": {k: v for k, v in cfg.items() if v is not None},
         **fields,
     }
-    with open(_out_path(cfg, f"{cfg['command']}.json"), "w") as fh:
+    with open(_out_path(cfg, f"{cfg['command']}.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(report, indent=2))
@@ -259,8 +259,10 @@ def _initial_condition(cfg, grid) -> GridFunction:
             mean, var = (float(v) for v in spec[len("gaussian:") :].split(","))
         except ValueError as exc:
             raise UsageError(f"bad gaussian IC {spec!r}: expected gaussian:mean,var") from exc
-        if var <= 0:
-            raise UsageError(f"gaussian IC {spec!r} needs positive variance")
+        if not -math.inf < mean < math.inf:
+            raise UsageError(f"gaussian IC {spec!r} needs a finite mean, got {mean}")
+        if not 0.0 < var < math.inf:
+            raise UsageError(f"gaussian IC {spec!r} needs a positive finite variance, got {var}")
         P0 = sample(grid, lambda x: np.exp(-((x - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var))
         return P0 / integrate(P0)
     if spec.startswith("csv:"):
@@ -318,7 +320,9 @@ def cmd_ml(cfg) -> int:
     zs = np.linspace(zmin, zmax, steps)
     vals = ml_relaxation(cfg["alpha"], -zs, 1.0)  # E_alpha(z): the factor at rate -z and t = 1
     path = _out_path(cfg, "mittag_leffler.csv")
-    np.savetxt(path, np.column_stack([zs, vals]), fmt="%.17g", delimiter=",", header="z,E_alpha", comments="")
+    np.savetxt(
+        path, np.column_stack([zs, vals]), fmt="%.17g", delimiter=",", header="z,E_alpha", comments="", encoding="utf-8"
+    )
     _emit(cfg, table=path)
     return 0
 

@@ -13,6 +13,7 @@ skip those nodes.  This module alone decides how a support changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,13 +57,17 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if not self.c1 < self.c2:
-            raise ValueError(f"need c1 < c2, got [{self.c1}, {self.c2}]")
+        if not -math.inf < self.c1 < self.c2 < math.inf:
+            raise ValueError(f"grid [{self.c1}, {self.c2}] needs finite ends c1 < c2")
         if self.n_points < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n_points}")
         if self.n_points % 2 == 0:
             raise ValueError(
                 f"n_points must be odd for composite Simpson quadrature, got {self.n_points}"
+            )
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(
+                f"grid [{self.c1}, {self.c2}] with {self.n_points} nodes has spacing {self.h}; need a finite h > 0"
             )
 
     @property
@@ -397,7 +402,7 @@ def write_csv(path, columns: dict[str, GridFunction]) -> None:
     table = np.column_stack([first.grid.x] + values)
     # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted by one % over the whole table
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["x", *columns]) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
@@ -409,7 +414,7 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
     every data row must have one entry per name (text after a ``#`` is a
     comment), and every entry must be finite.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         names = [n.strip() for n in fh.readline().strip().split(",")]
         try:
             [float(n) for n in names]

@@ -24,13 +24,15 @@ error is ~1e-14 absolute for every 0 < alpha < 1 and x >= 0.
 Every evaluation also takes the N = 24 rule, whose error is ~2e-11, and
 raises ArithmeticError when the two differ by more than 1e-10, the accuracy
 contract.  Both rules come from one reciprocal 1/(s^alpha + x) over their
-28 nodes, and s^alpha with the weights w s^alpha / s is kept per order
-alpha, so that repeated calls at a few orders pay for the powers once.
-alpha = 1 is the exponential; x = 0 gives exactly 1.
+28 nodes.  s^alpha and the weights w s^alpha / s are cached by alpha and
+the node counts, so repeated calls at a few orders pay for the powers
+once.  alpha is taken as a Python float, so 0.5 and numpy's 0.5 give the
+same bits.  alpha = 1 is the exponential; x = 0 gives exactly 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,53 +52,29 @@ def _half_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, (2.0 / n) * np.exp(s) * ds
 
 
-_RULE = _half_rule(NODES)
-_GUARD_RULE = _half_rule(GUARD_NODES)
+@functools.lru_cache(maxsize=32)
+def _order_nodes(alpha: float, nodes: int, guard_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s^alpha over the main rule's nodes, then the guard rule's, and each rule's weights w s^alpha / s."""
+    rules = (_half_rule(nodes), _half_rule(guard_nodes))
+    sa = [s**alpha for s, _ in rules]
+    arrays = (np.concatenate(sa), *(w * a / s for (s, w), a in zip(rules, sa)))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-# What _order_nodes returns, per order alpha and its type, and the
-# (_RULE, _GUARD_RULE) it was built from.
-_ORDER_NODES: dict[tuple[type, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_ORDER_NODES_RULES: list = [None, None]
-ORDER_NODES_KEPT = 32
-
-
-def _order_nodes(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """s^alpha over the main rule's nodes, then the guard rule's, and each rule's weights w s^alpha / s.
-
-    Kept per alpha, for at most ORDER_NODES_KEPT orders (the oldest goes
-    first); all are dropped once ``_RULE`` or ``_GUARD_RULE`` is rebound.
-    The type of alpha is part of the key: numpy takes s**0.5 as a square
-    root for a Python float exponent only, a last-bit difference from the
-    power of a numpy 0.5.
-    """
-    if _ORDER_NODES_RULES[0] is not _RULE or _ORDER_NODES_RULES[1] is not _GUARD_RULE:
-        _ORDER_NODES.clear()
-        _ORDER_NODES_RULES[:] = _RULE, _GUARD_RULE
-    key = (type(alpha), alpha)
-    nodes = _ORDER_NODES.get(key)
-    if nodes is None:
-        rules = (_RULE, _GUARD_RULE)
-        sa = [s**alpha for s, _ in rules]
-        nodes = (np.concatenate(sa), *(w * a / s for (s, w), a in zip(rules, sa)))
-        for a in nodes:
-            a.setflags(write=False)
-        if len(_ORDER_NODES) >= ORDER_NODES_KEPT:
-            del _ORDER_NODES[next(iter(_ORDER_NODES))]
-        _ORDER_NODES[key] = nodes
-    return nodes
-
-
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float) -> float:
+    """alpha as a Python float, after checking 0 < alpha <= 1."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    return float(alpha)
 
 
 def _decay(alpha: float, x: np.ndarray) -> np.ndarray:
-    """E_alpha(-x) elementwise for x >= 0 (no NaN) and a checked alpha."""
+    """E_alpha(-x) elementwise for x >= 0 (no NaN) and an alpha from _check_alpha."""
     if alpha == 1.0:
         return np.exp(-x)
-    sa, weights, guard_weights = _order_nodes(alpha)
+    sa, weights, guard_weights = _order_nodes(alpha, NODES, GUARD_NODES)
     inverse = 1.0 / (sa + x[..., None])
     main = len(weights)
     value = np.imag(inverse[..., :main] @ weights)
@@ -120,7 +98,7 @@ def mittag_leffler(alpha: float, z):
     same shape is returned).  Raises ValueError for arguments outside that
     regime, and ArithmeticError if the convergence guard fails.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
     if z.size and not z.max() <= 0.0:
         raise ValueError(f"only non-positive arguments are supported, got z={z[~(z <= 0.0)][0]}")
@@ -148,7 +126,7 @@ def ml_relaxation(alpha: float, eps, t):
     monotonically otherwise (algebraically for alpha < 1).  Scalar inputs
     give a float.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     eps = np.asarray(eps, dtype=float)
     t = np.asarray(t, dtype=float)
     _check_nonnegative(eps, "relaxation rate")

@@ -30,8 +30,8 @@ def ou_scenario(grid: Grid1D, gamma: float = 1.0) -> DriftSpec:
 
     Closed-form reference: eigenvalues gamma*k, stationary variance 1/gamma.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     W = sample(grid, lambda x: gamma * x**2 / 4.0)
     D = sample(grid, lambda x: -gamma * x)
     return DriftSpec(W=W, D=D)
@@ -113,8 +113,8 @@ def schwarzschild_potential(T: float, grid: Grid1D) -> DriftSpec:
     U = r_h/2 - pi T r_h^2 in closed form.  The drift potential is U = 2W,
     so W = U/2 and D = -U' = 2 pi T r_h - 1/2.
     """
-    if T <= 0:
-        raise ValueError(f"ensemble temperature must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"ensemble temperature must be positive and finite, got {T}")
     if grid.c1 <= 0:
         raise ValueError("horizon-radius grid must be strictly positive")
     U = sample(grid, lambda r: 0.5 * r - math.pi * T * r**2)

@@ -48,8 +48,8 @@ def gaussian_ic(ou_grid):
 @pytest.fixture
 def coarse_ml_rule(monkeypatch):
     """Swap in Mittag-Leffler contour rules too coarse to pass the convergence guard."""
-    monkeypatch.setattr(mittag, "_RULE", mittag._half_rule(8))
-    monkeypatch.setattr(mittag, "_GUARD_RULE", mittag._half_rule(6))
+    monkeypatch.setattr(mittag, "NODES", 8)
+    monkeypatch.setattr(mittag, "GUARD_NODES", 6)
 
 
 def align_sign(candidate, reference):

@@ -523,6 +523,15 @@ class TestUsageErrors:
             (("spectrum", "--scenario", "csv:{tmp}/header.csv"), "header.csv: no data rows"),
             (("evolve", "--ic", "csv:{tmp}/header.csv"), "header.csv: no data rows"),
             (("spectrum", "--scenario", "csv:{tmp}/short.csv"), "stencil reads 5 nodes"),
+            (("spectrum", "--grid=-inf:12:2001"), "grid [-inf, 12.0] needs finite ends"),
+            (("spectrum", "--grid=-1e308:1e308:2001"), "grid [-1e+308, 1e+308] with 2001 nodes has spacing inf"),
+            (("spectrum", "--scenario", "box", "--grid=0:inf:101"), "grid [0.0, inf] needs finite ends"),
+            (("spectrum", "--gamma", "nan"), "gamma must be positive and finite, got nan"),
+            (("spectrum", "--gamma", "inf"), "gamma must be positive and finite, got inf"),
+            (("spectrum", "--scenario", "schwarzschild", "--temperature", "nan"), "temperature must be positive and finite"),
+            (("blackhole", "--temperature", "inf"), "temperature must be positive and finite, got inf"),
+            (("evolve", "--ic", "gaussian:nan,1"), "needs a finite mean, got nan"),
+            (("evolve", "--ic", "gaussian:0,inf"), "needs a positive finite variance, got inf"),
         ],
         ids=[
             "config-unreadable", "grid-two-fields", "grid-not-a-number", "times-not-a-number",
@@ -530,6 +539,8 @@ class TestUsageErrors:
             "ic-csv-missing", "ic-csv-three-columns", "ml-one-step", "lambda-empty", "darboux-steps-above-kmax",
             "lambda-trailing-empty-field", "lambda-leading-empty-field", "times-empty-field",
             "csv-drift-no-rows", "ic-csv-no-rows", "csv-drift-three-samples",
+            "grid-infinite-end", "grid-infinite-spacing", "grid-box-infinite-end", "gamma-nan", "gamma-inf",
+            "temperature-nan", "blackhole-temperature-inf", "ic-gaussian-nan-mean", "ic-gaussian-inf-variance",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -661,6 +672,34 @@ def test_script_entry_runs_a_command_in_a_fresh_process(tmp_path):
     assert report["command"] == "ml"
     assert json.loads((tmp_path / "ml.json").read_text()) == report
     assert (tmp_path / "mittag_leffler.csv").exists()
+
+
+def test_text_files_name_their_encoding(tmp_path):
+    # a UTF-8 config with a non-ASCII comment, a csv: drift and a csv: IC,
+    # then the ml table: every text file the package reads or writes, in a
+    # process where a locale-dependent open by the package is an error
+    xs = np.linspace(-8.0, 8.0, 801)
+    np.savetxt(tmp_path / "drift.csv", np.column_stack([xs, -xs]), delimiter=",", header="x,D", comments="")
+    np.savetxt(tmp_path / "ic.csv", np.column_stack([xs, np.exp(-((xs - 1.0) ** 2))]), delimiter=",")
+    (tmp_path / "run.cfg").write_text("# ρ(x, t) of a shifted Gaussian\ntimes = 0.5,1\nkmax = 6\n", encoding="utf-8")
+    code = (
+        "import sys, warnings\n"
+        "warnings.filterwarnings('error', category=EncodingWarning, module='isofokker')\n"
+        "from isofokker.cli import main\n"
+        "out = sys.argv[1]\n"
+        "sys.exit(main(sys.argv[2:] + ['--out', out]) or main(['ml', '--out', out]))\n"
+    )
+    argv = ["evolve", "--config", str(tmp_path / "run.cfg")]
+    argv += ["--scenario", f"csv:{tmp_path / 'drift.csv'}", "--ic", f"csv:{tmp_path / 'ic.csv'}"]
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-c", code, str(tmp_path / "out"), *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert list(read_csv_columns(tmp_path / "out" / "evolution.csv")) == ["x", "P_t0.5", "P_t1"]
+    assert (tmp_path / "out" / "mittag_leffler.csv").exists()
 
 
 def test_console_script_is_run(monkeypatch):

@@ -63,6 +63,20 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize(
+        "c1, c2, shown",
+        [(-math.inf, 12.0, "-inf, 12.0"), (0.0, math.inf, "0.0, inf"), (math.nan, 1.0, "nan, 1.0"),
+         (0.0, math.nan, "0.0, nan"), (-math.inf, math.inf, "-inf, inf")],
+    )
+    def test_non_finite_ends_rejected_naming_the_grid(self, c1, c2, shown):
+        with pytest.raises(ValueError, match=re.escape(f"grid [{shown}] needs finite ends")):
+            make_grid(c1, c2, 2001)
+
+    @pytest.mark.parametrize("c1, c2, h", [(-1e308, 1e308, "inf"), (0.0, 5e-324, "0.0")])
+    def test_spacing_must_be_finite_and_positive(self, c1, c2, h):
+        with pytest.raises(ValueError, match=re.escape(f"grid [{c1}, {c2}] with 3 nodes has spacing {h}")):
+            make_grid(c1, c2, 3)
+
 
 class TestIntegrate:
     def test_constant(self):

@@ -170,6 +170,10 @@ class TestRangeRegressions:
         with pytest.raises(ArithmeticError, match="differ"):
             mittag_leffler(0.5, -1.0)
 
+    def test_guard_message_names_the_node_counts_in_use(self, coarse_ml_rule):
+        with pytest.raises(ArithmeticError, match=r"^E_0\.5 contour rules with 8 and 6 nodes differ by "):
+            mittag_leffler(0.5, -1.0)
+
 
 class TestMlRelaxation:
     def test_zero_rate_never_decays(self):
@@ -241,8 +245,8 @@ def _two_pass(alpha: float, x: np.ndarray) -> np.ndarray:
         sa = s**alpha
         return np.imag((1.0 / (sa + x[..., None])) @ (w * sa / s))
 
-    value = contour_sum(mittag._RULE)
-    gap = float(np.max(np.abs(value - contour_sum(mittag._GUARD_RULE)), initial=0.0))
+    value = contour_sum(mittag._half_rule(mittag.NODES))
+    gap = float(np.max(np.abs(value - contour_sum(mittag._half_rule(mittag.GUARD_NODES))), initial=0.0))
     if not gap <= mittag.GUARD_TOL:
         raise ArithmeticError(f"guard gap {gap:.3g}")
     return np.where(x == 0.0, 1.0, value)
@@ -259,21 +263,36 @@ _FUSED_XS = [
 class TestFusedRules:
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.4, 0.5, 0.55, 0.7, 0.75, 0.9, 0.95, 0.3183])
     def test_bytes_equal_two_separate_rules(self, alpha):
-        # a Python float and a numpy order, in both orders of first use:
-        # numpy takes s**0.5 as a square root for the Python float only
+        # a Python float and a numpy order, in both orders of first use; both
+        # run as the Python float (numpy takes s**0.5 as a square root for a
+        # Python float exponent only)
         for order in ((alpha, np.float64(alpha)), (np.float64(alpha), alpha)):
-            mittag._ORDER_NODES.clear()
+            mittag._order_nodes.cache_clear()
             for a in order:
                 for x in _FUSED_XS:
                     value = np.asarray(mittag_leffler(a, -x))
                     assert value.shape == x.shape
-                    assert value.tobytes() == _two_pass(a, x).tobytes(), (type(a), x.shape)
+                    assert value.tobytes() == _two_pass(alpha, x).tobytes(), (type(a), x.shape)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.55, 0.3183])
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.array])
+    def test_order_types_give_the_same_bytes(self, alpha, kind):
+        # a numpy order, used first, and the Python float share one cache
+        # entry and one result; np.float32 rounds the orders that are not dyadic
+        a = kind(alpha)
+        exact = float(a)
+        x = _FUSED_XS[2]
+        mittag._order_nodes.cache_clear()
+        for order in (a, exact):
+            assert np.asarray(mittag_leffler(order, -x)).tobytes() == _two_pass(exact, x).tobytes()
+            assert ml_relaxation(order, x, 2.0).tobytes() == ml_relaxation(exact, x, 2.0).tobytes()
+        assert mittag._order_nodes.cache_info().currsize == 1
 
     @pytest.mark.parametrize("rules", [(32, 20), (32, 22), (26, 22)])
     def test_guard_raises_where_two_passes_do(self, monkeypatch, rules):
         # rules coarse enough that the guard passes at some points and fails at others
-        monkeypatch.setattr(mittag, "_RULE", mittag._half_rule(rules[0]))
-        monkeypatch.setattr(mittag, "_GUARD_RULE", mittag._half_rule(rules[1]))
+        monkeypatch.setattr(mittag, "NODES", rules[0])
+        monkeypatch.setattr(mittag, "GUARD_NODES", rules[1])
         outcomes = set()
         for alpha in (0.3, 0.5, 0.8, 0.95):
             for x in [*_FUSED_XS, *np.logspace(-3, 1, 9)]:
@@ -297,8 +316,8 @@ class TestFusedRules:
             mittag_leffler(0.5, -1.0)
 
     def test_fine_rules_return_after_a_coarse_swap(self, monkeypatch):
-        monkeypatch.setattr(mittag, "_RULE", mittag._half_rule(8))
-        monkeypatch.setattr(mittag, "_GUARD_RULE", mittag._half_rule(6))
+        monkeypatch.setattr(mittag, "NODES", 8)
+        monkeypatch.setattr(mittag, "GUARD_NODES", 6)
         with pytest.raises(ArithmeticError):
             mittag_leffler(0.5, -1.0)
         monkeypatch.undo()
@@ -306,9 +325,10 @@ class TestFusedRules:
 
     def test_kept_orders_stay_bounded(self):
         x = np.array([0.0, 0.5, 4.0])
-        for alpha in np.linspace(0.05, 0.95, 200):
+        for alpha in np.linspace(0.05, 0.95, 200).tolist():
             assert np.asarray(mittag_leffler(alpha, -x)).tobytes() == _two_pass(alpha, x).tobytes()
-        assert len(mittag._ORDER_NODES) <= mittag.ORDER_NODES_KEPT
+        info = mittag._order_nodes.cache_info()
+        assert info.currsize <= info.maxsize == 32
         # an order evicted long ago is rebuilt to the same bytes
         assert np.asarray(mittag_leffler(0.05, -x)).tobytes() == _two_pass(0.05, x).tobytes()
 

@@ -77,6 +77,12 @@ class TestOuScenario:
         with pytest.raises(ValueError):
             ou_scenario(ou_grid, gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_gamma_rejected_by_name(self, ou_grid, gamma):
+        with pytest.raises(ValueError, match=f"^gamma must be positive and finite, got {gamma}$"):
+            ou_scenario(ou_grid, gamma=gamma)
+
 
 class TestBoxScenario:
     def test_flat_potential(self):
@@ -129,6 +135,12 @@ class TestSchwarzschild:
             schwarzschild_potential(-1.0, make_grid(0.1, 3.0, 581))
         with pytest.raises(ValueError):
             schwarzschild_potential(0.1, make_grid(-0.5, 3.0, 581))
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_temperature_rejected_by_name(self, T):
+        with pytest.raises(ValueError, match=f"^ensemble temperature must be positive and finite, got {T}$"):
+            schwarzschild_potential(T, make_grid(0.1, 3.0, 581))
 
 
 class TestCustomDrift:
