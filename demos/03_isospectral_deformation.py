@@ -46,9 +46,7 @@ for k, eps in enumerate(resolved.energies):
 
 # single-parameter closed form: deformed drift is D - 2 phi0^2/(I0 + lambda)
 single = reinstate(chain, IsoParams([0.5]))
-from isofokker import ground_state_to_drift
-
-closed = ground_state_to_drift(phi0).D - 2.0 * phi0 * phi0 * (1.0 / (I0 + 0.5))
+closed = drift.D - 2.0 * phi0 * phi0 * (1.0 / (I0 + 0.5))
 print(f"\nn=1 closed form check: {sup_diff(single.drift.D, closed, window=(-8, 8)):.2e}")
 
 print("\nlambda -> infinity removes the deformation:")

@@ -30,7 +30,7 @@ from .oracle import CnConfig, cn_evolve, gl_residual
 from .scenarios import (
     box_scenario, custom_drift, hawking_temperature, ou_reference_state, ou_scenario, schwarzschild_potential,
 )
-from .spectral import DriftSpec, build_hamiltonian, ground_state_to_drift, solve_spectrum
+from .spectral import DriftSpec, build_hamiltonian, ground_prepotential, ground_state_to_drift, solve_spectrum
 
 SCHEMA_VERSION = 1
 
@@ -234,10 +234,12 @@ def cmd_deform(cfg) -> int:
     )
     kcheck = spectrum.kmax - 2
     resolved = solve_spectrum(build_hamiltonian(deformation.drift.W), kcheck).energies
-    # the reference re-solves the original ground state by the same route:
-    # W = -ln|phi_0| diverges at Dirichlet walls, which moves the levels of a
-    # wall scenario by far more than the deformation does
-    reference = solve_spectrum(build_hamiltonian(ground_state_to_drift(spectrum.state(0)).W), kcheck).energies
+    # the reference re-solves the original ground state's prepotential by the
+    # rule the deformed drift follows: the scenario's W when the ground level
+    # is its zero mode (OU), else -ln|phi_0|, which diverges at Dirichlet
+    # walls and moves the levels of a wall scenario by far more than the
+    # deformation does
+    reference = solve_spectrum(build_hamiltonian(ground_prepotential(spectrum)), kcheck).energies
     max_diff = _max_abs(resolved - reference)
     passed = max_diff <= 5e-3
     _emit(
@@ -263,8 +265,12 @@ def _initial_condition(cfg, grid) -> GridFunction:
             raise UsageError(f"gaussian IC {spec!r} needs a finite mean, got {mean}")
         if not 0.0 < var < math.inf:
             raise UsageError(f"gaussian IC {spec!r} needs a positive finite variance, got {var}")
-        P0 = sample(grid, lambda x: np.exp(-((x - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var))
-        return P0 / integrate(P0)
+        with np.errstate(over="ignore"):  # a square past float64 is a density of 0 there
+            P0 = sample(grid, lambda x: np.exp(-((x - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var))
+        mass = integrate(P0)
+        if not mass > 0.0:
+            raise UsageError(f"gaussian IC {spec!r} has no positive mass on the grid [{grid.c1:g}, {grid.c2:g}]")
+        return P0 / mass
     if spec.startswith("csv:"):
         path = spec[4:]
         try:

@@ -99,7 +99,7 @@ def darboux_step(chain: DarbouxChain) -> DarbouxChain:
         raise ValueError("no levels left above the stage ground state")
     rows = _spectrum_deletion(chain.base, 1) if s == 0 else _delete_lowest(stage, 1)
     energies = chain.base.energies[s + 1 :] - chain.base.energies[s + 1]
-    new = Basis(stage.grid, rows.values, rows.support, energies=energies)
+    new = Basis._adopt(stage.grid, rows.values, rows.support, energies=energies)
     return DarbouxChain(base=chain.base, stage_states=chain.stage_states + (new,))
 
 
@@ -109,7 +109,7 @@ def build_chain(base: Spectrum, n_steps: int) -> DarbouxChain:
         raise ValueError("n_steps must be at least 1")
     if n_steps > base.kmax:
         raise ValueError(f"cannot delete {n_steps} levels with kmax={base.kmax}")
-    stage0 = Basis(base.grid, base.values, base.support, energies=base.energies - base.energies[0])
+    stage0 = Basis._adopt(base.grid, base.values, base.support, energies=base.energies - base.energies[0])
     chain = DarbouxChain(base=base, stage_states=(stage0,))
     for _ in range(n_steps):
         chain = darboux_step(chain)

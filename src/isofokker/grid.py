@@ -112,16 +112,22 @@ class GridFunction:
         self._settle(np.array(self.values, dtype=float))
 
     @classmethod
-    def _adopt(cls, grid: Grid1D, values: np.ndarray, support: tuple[int, int] | None = None) -> "GridFunction":
-        """A grid function that takes ``values`` over without a copy.
+    def _adopt(cls, grid: Grid1D, values: np.ndarray, support: tuple[int, int] | None = None, **fields):
+        """A grid function of type ``cls`` that takes ``values`` over without a copy.
 
         For a float array that its caller has just built and holds no other
-        reference to: it gets the same zeroing outside the support, the same
-        finiteness check and the same read-only flag as a copy would.
+        reference to, or for the read-only values of another grid function,
+        which may then share them: it gets the same zeroing outside the
+        support (read-only values must already be 0 there), the same checks,
+        those of a subclass included, and the same read-only flag as a copy
+        would.  ``fields`` are the subclass's own fields, by name; one left
+        out keeps its default.
         """
         f = object.__new__(cls)
         object.__setattr__(f, "grid", grid)
         object.__setattr__(f, "support", support)
+        for name, value in fields.items():
+            object.__setattr__(f, name, value)
         f._settle(np.asarray(values, dtype=float))
         return f
 
@@ -133,7 +139,10 @@ class GridFunction:
         a, z = (0, n) if self.support is None else self.support
         if not 0 <= a < z <= n:
             raise ValueError(f"function is unreliable on every node: support ({a}, {z}) of {n} nodes")
-        values[..., :a] = values[..., z:] = 0.0
+        if values.flags.writeable:
+            values[..., :a] = values[..., z:] = 0.0
+        elif values[..., :a].any() or values[..., z:].any():
+            raise ValueError(f"read-only values are not 0 outside the support ({a}, {z})")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite values in grid function")
         values.setflags(write=False)

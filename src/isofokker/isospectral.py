@@ -19,6 +19,30 @@ must avoid the closed interval [-1, 0].  Then 0 <= K(x) <= I gives
 Lambda <= M(x) <= Lambda + I, so M(x) has as many negative eigenvalues as
 Lambda at every x (Weyl's inequalities): det M keeps one sign and every
 reinstated state stays finite and normalizable.
+
+The deformed drift: when the base ground level is the zero mode of the
+prepotential W the base was solved from (``spectral.ground_prepotential``),
+the deformed prepotential is W^ = W + dW with dW = -ln|phi^_0 / phi_0|,
+and D^ = -2 W^'.  The correction is bounded: phi^_0 / phi_0 tends to a
+constant at each wall (at n = 1, dW = ln(lambda + K_00) up to a constant,
+so D^ = D - 2 phi_0^2 / (lambda + K_00)), and it is held at its end values
+where either ground state falls below the floor, so W^ and D^ are known on
+every node.  Any other base (the box, the thermal potential, whose ground
+states vanish at Dirichlet walls) takes W^ = -ln|phi^_0|.  That reading
+carries the solver ground state's O(h^2) error, which grows into the
+tails, into the potential; the ratio phi^_0 / phi_0 shares most of it.
+On OU at 2001 nodes on [-12, 12], the re-solved deformed levels miss the
+original ones by 3.8e-6 at lambda = (0.5, 0.5), at order 2 (-ln|phi^_0|:
+4.3e-5).
+
+What remains is the re-solve's own stencil error, not the drift: the
+3-point Laplacian shifts level k by -(h^2/12) int (phi_k'')^2, and that
+shift differs between the deformed states and the base ones.  Re-solving
+at 2001 nodes a deformed potential taken on 8x finer nodes reads 3.1e-6
+at lambda = (0.5, 0.5) and 2.1e-5 at (0.5, -2, 0.3), as that shift
+difference predicts to 1%.  So the mixed-sign vector gains nothing from
+W + dW (2.5e-5, against 2.6e-5 from -ln|phi^_0|): its sharper deformed
+states raise the floor itself.
 """
 
 from __future__ import annotations
@@ -30,8 +54,17 @@ import numpy as np
 
 from .darboux import DarbouxChain
 from .evolve import _expansion
-from .grid import GridFunction, _solve_per_node, cumulative_integral
-from .spectral import Basis, DriftSpec, ground_state_to_drift, unit_states
+from .grid import (
+    GridFunction,
+    _peak_run,
+    _solve_per_node,
+    cumulative_integral,
+    derivative,
+    divide,
+    hold_edges,
+    interior_sign_changes,
+)
+from .spectral import Basis, DriftSpec, Spectrum, ground_prepotential, ground_state_to_drift, unit_states
 
 __all__ = [
     "IsoParams",
@@ -66,8 +99,11 @@ class IsoDeformation(Basis):
     """The deformed eigenbasis and drift.
 
     Row k is the deformed eigenstate at the original energy ``energies[k]``;
-    ``drift`` is the deformed process's drift 2 (ln|phi^_0|)', for one
-    parameter D - 2 d/dx ln(I_0 + lambda_0).
+    ``drift`` is the deformed process's drift, whose stationary density is
+    phi^_0^2: (W + dW, -2 (W + dW)') with the bounded dW = -ln|phi^_0/phi_0|
+    when the base ground level is the zero mode of the base W, for one
+    parameter D - 2 phi_0^2 / (K_00 + lambda_0); else W^ = -ln|phi^_0| and
+    D^ = 2 (ln|phi^_0|)' (see the module docstring).
     """
 
     chain: DarbouxChain
@@ -91,10 +127,11 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
     M(x) y(x) = (phi_0..phi_{n-1})(x) with M = Lambda + G_{:, :n} by one
     elimination over all nodes, whose pivots also give det M(x), and takes
     phi^_j = y_j for j < n and phi^_k = phi_k - sum_j y_j G_jk for k >= n,
-    each put in unit form by ``unit_states``.  A parameter in the excluded
-    interval raises ValueError, and so does a det M(x) that changes sign on
-    the grid, which admissible parameters cannot produce; the sign is
-    checked before y is used.
+    each put in unit form by ``unit_states``.  The drift follows the rule
+    of the module docstring.  A parameter in the excluded interval raises
+    ValueError, and so does a det M(x) that changes sign on the grid, which
+    admissible parameters cannot produce; the sign is checked before y is
+    used.
     """
     n = len(params)
     if n > chain.n_steps:
@@ -109,8 +146,32 @@ def reinstate(chain: DarbouxChain, params: IsoParams) -> IsoDeformation:
         raise ValueError("det M(x) changes sign on the grid; the parameter combination is inadmissible")
     high = phi[n:] - np.einsum("jx,jkx->kx", low, gram[:, n:])
     states = unit_states(GridFunction._adopt(base.grid, np.concatenate((low, high))))
-    drift = ground_state_to_drift(GridFunction(base.grid, states.values[0]))
-    return IsoDeformation(base.grid, states.values, energies=base.energies, chain=chain, drift=drift)
+    drift = _deformed_drift(base, GridFunction(base.grid, states.values[0]))
+    return IsoDeformation._adopt(base.grid, states.values, energies=base.energies, chain=chain, drift=drift)
+
+
+def _deformed_drift(base: Spectrum, ground: GridFunction) -> DriftSpec:
+    """The drift whose stationary state is ``ground``, the deformed ground state of ``base``.
+
+    When the base prepotential W is known (``ground_prepotential``), the
+    deformed one is W^ = W + dW with the bounded correction
+    dW = -ln|phi^_0 / phi_0|, taken on the run of nodes where both ground
+    states clear the floor and held at the run's end values beyond it, and
+    D^ = -2 W^' by ``derivative``.  Otherwise W^ = -ln|phi^_0| and
+    D^ = 2 (ln|phi^_0|)' by ``ground_state_to_drift``.  A ground state with
+    a node raises ValueError either way.
+    """
+    W = ground_prepotential(base)
+    if W is not base.W:
+        return ground_state_to_drift(ground)
+    if interior_sign_changes(ground) > 0:
+        raise ValueError("ground state has interior zeros; not a valid stationary state")
+    ratio = divide(ground, base.state(0))  # on the run where phi_0 clears the floor
+    a, z = _peak_run(ground.values, ratio.support)  # and phi^_0 as well
+    dW = np.zeros(base.grid.n_points)
+    dW[a:z] = -np.log(np.abs(ratio.values[a:z]))
+    W_hat = W + hold_edges(GridFunction._adopt(base.grid, dW, (a, z)))
+    return DriftSpec(W=W_hat, D=-2.0 * derivative(W_hat))
 
 
 def iso_pdf(deformation: IsoDeformation, coeffs, t: float, temporal=None) -> GridFunction:

@@ -11,6 +11,7 @@ ground state as D = 2 (ln|phi_0|)'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "build_hamiltonian",
     "solve_spectrum",
     "ground_state_to_drift",
+    "ground_prepotential",
     "unit_states",
 ]
 
@@ -57,13 +59,15 @@ class DriftSpec:
 class SchrodingerOperator:
     """Symmetric tridiagonal discretization of -d2/dx2 + V with Dirichlet walls.
 
-    ``diag``/``offdiag`` cover the interior nodes only; V keeps full-grid samples.
+    ``diag``/``offdiag`` cover the interior nodes only; V keeps full-grid samples,
+    and W is the prepotential V was built from, when known.
     """
 
     grid: Grid1D
     V: GridFunction
     diag: np.ndarray
     offdiag: np.ndarray
+    W: GridFunction | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -80,8 +84,8 @@ class Basis(GridFunction):
 
     energies: np.ndarray
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _settle(self, values: np.ndarray) -> None:
+        super()._settle(values)
         energies = np.array(self.energies, dtype=float)
         if energies.ndim != 1 or self.values.shape[:-1] != energies.shape:
             raise ValueError(f"values of shape {self.values.shape} need one state per level {energies.shape}")
@@ -105,16 +109,24 @@ class Spectrum(Basis):
 
     Sign convention: each state rises positively off the left wall
     (phi_k'(c1) > 0), which makes downstream chains reproducible run to run.
+    ``W`` is the prepotential whose operator gave the levels (``solve_spectrum``
+    carries it over from the operator), or None when unknown.
     """
 
-    # The Wronskian states of each n asked for, as one stack, keyed by n (see
-    # darboux.crum_states; a chain's first stage reads n = 1); safe to keep
-    # because the spectrum is frozen.
-    _crum_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    W: GridFunction | None = field(default=None, repr=False)
 
     @property
     def kmax(self) -> int:
         return len(self) - 1
+
+    @cached_property
+    def _crum_memo(self) -> dict:
+        """The Wronskian states of each n asked for, as one stack, keyed by n.
+
+        See darboux.crum_states (a chain's first stage reads n = 1); safe to
+        keep because the spectrum is frozen.
+        """
+        return {}
 
 
 def unit_states(f: GridFunction) -> GridFunction:
@@ -163,7 +175,7 @@ def build_hamiltonian(W: GridFunction) -> SchrodingerOperator:
     h = W.grid.h
     diag = 2.0 / h**2 + vals[1:-1]
     offdiag = np.full(W.grid.n_points - 3, -1.0 / h**2)
-    return SchrodingerOperator(W.grid, V, diag, offdiag)
+    return SchrodingerOperator(W.grid, V, diag, offdiag, W)
 
 
 # A computed ground energy this close to zero is the zero mode of a
@@ -229,7 +241,7 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
     Then e_0 is subtracted from every level, which puts the ground level at
     0 and keeps each gap, a tunnelling split smaller than |e_0| included.
     The energies returned must be strictly increasing; levels the grid
-    cannot resolve raise RuntimeError.
+    cannot resolve raise RuntimeError.  The spectrum keeps the operator's W.
     """
     n = op.grid.n_points
     if kmax < 0:
@@ -243,7 +255,8 @@ def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
         raise RuntimeError("eigenvalues not strictly increasing; resolution too coarse")
     full = np.zeros((kmax + 1, n))
     full[:, 1:-1] = vectors.T
-    return Spectrum(op.grid, unit_states(GridFunction(op.grid, full)).values, energies=energies)
+    states = unit_states(GridFunction._adopt(op.grid, full))
+    return Spectrum._adopt(op.grid, states.values, energies=energies, W=op.W)
 
 
 def ground_state_to_drift(phi0: GridFunction) -> DriftSpec:
@@ -260,3 +273,18 @@ def ground_state_to_drift(phi0: GridFunction) -> DriftSpec:
     W = np.zeros(phi0.grid.n_points)
     W[a:z] = -np.log(np.abs(phi0.values[a:z]))
     return DriftSpec(W=GridFunction._adopt(phi0.grid, W, (a, z)), D=D)
+
+
+def ground_prepotential(spectrum: Spectrum) -> GridFunction:
+    """The prepotential whose zero mode is the ground state of ``spectrum``.
+
+    When the ground level is the zero mode of the prepotential W the levels
+    were solved from (``solve_spectrum`` snapped it to exactly 0), that is
+    W itself, known on every node.  Otherwise, for a ground state that
+    vanishes at Dirichlet walls (the box, the thermal potential) or a
+    spectrum with no W, it is -ln|phi_0|, read as ``ground_state_to_drift``
+    reads it: supported where phi_0 clears the floor, 0 beyond.
+    """
+    if spectrum.W is not None and spectrum.energies[0] == 0.0:
+        return spectrum.W
+    return ground_state_to_drift(spectrum.state(0)).W

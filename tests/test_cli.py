@@ -21,7 +21,7 @@ from isofokker.grid import (
 )
 from isofokker.isospectral import IsoParams
 from isofokker.scenarios import ou_scenario, schwarzschild_potential
-from isofokker.spectral import DriftSpec, build_hamiltonian, solve_spectrum
+from isofokker.spectral import DriftSpec, build_hamiltonian, ground_state_to_drift, solve_spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -157,14 +157,20 @@ class TestScenarioParameter:
 
 class TestDeformCommand:
     def test_isospectrality_report(self, capsys, tmp_path):
+        # OU's ground level is the zero mode of its W: the deformed drift is
+        # W + dW, known on every node, and the reference is the original levels
         rc, out, _ = run_cli(
             capsys, "deform", "--lambda", "0.5,0.5", "--kmax", "5", "--out", str(tmp_path)
         )
         assert rc == 0
         report = json.loads(out)
-        assert report["max_abs_eig_diff"] <= 5e-3
+        assert report["max_abs_eig_diff"] <= 5e-6
         assert report["isospectral"] is True
-        assert (tmp_path / "deformed_drift.csv").exists()
+        assert np.max(np.abs(np.subtract(report["reference_eigenvalues"], report["original_eigenvalues"][:4]))) <= 1e-9
+        cols = read_csv_columns(tmp_path / "deformed_drift.csv")
+        assert np.all(cols["W"] != 0.0) and np.all(cols["D"] != 0.0)
+        tails = np.abs(cols["x"]) >= 11.0  # beyond the floor of either ground state, D^ = D
+        assert np.max(np.abs(cols["D"] + cols["x"])[tails]) <= 1e-9
 
     def test_inadmissible_lambda_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "deform", "--lambda", "-0.5", "--out", str(tmp_path))
@@ -197,8 +203,9 @@ class TestDeformCommand:
 
     @pytest.mark.parametrize("scenario", ["box", "schwarzschild"])
     def test_wall_scenarios_are_isospectral(self, capsys, tmp_path, scenario):
-        # the reference re-solves the original ground state by the deformed
-        # drift's route, so the walls' -ln phi divergence cancels
+        # a wall ground state is no zero mode of the scenario's W: the deformed
+        # drift and the reference both read -ln|phi_0|, as they always did, so
+        # the walls' -ln phi divergence cancels
         rc, out, err = run_cli(
             capsys, "deform", "--scenario", scenario, "--lambda", "0.5,0.5", "--out", str(tmp_path)
         )
@@ -207,6 +214,18 @@ class TestDeformCommand:
         gap = np.max(np.abs(np.subtract(report["deformed_eigenvalues"], report["reference_eigenvalues"])))
         assert report["max_abs_eig_diff"] == gap <= 5e-3
         assert report["isospectral"] is True
+        scene = cli._SCENARIOS[scenario]
+        grid = make_grid(*scene.grid)
+        spectrum = solve_spectrum(
+            build_hamiltonian(scene.drift(grid, {"temperature": scene.default}).W), report["config"]["kmax"]
+        )
+        deformed = isospectral.reinstate(darboux.build_chain(spectrum, 2), IsoParams([0.5, 0.5]))
+        route = ground_state_to_drift(deformed.state(0))
+        cols = read_csv_columns(tmp_path / "deformed_drift.csv")
+        assert cols["W"].tobytes() == route.W.values.tobytes() and cols["D"].tobytes() == route.D.values.tobytes()
+        kcheck = spectrum.kmax - 2
+        reference = solve_spectrum(build_hamiltonian(ground_state_to_drift(spectrum.state(0)).W), kcheck).energies
+        assert report["reference_eigenvalues"] == list(reference)
 
     def test_non_isospectral_deformation_exits_two(self, capsys, tmp_path, monkeypatch):
         # swap the deformed drift for OU at gamma = 2, whose levels are 0, 2, 4, ...
@@ -532,6 +551,8 @@ class TestUsageErrors:
             (("blackhole", "--temperature", "inf"), "temperature must be positive and finite, got inf"),
             (("evolve", "--ic", "gaussian:nan,1"), "needs a finite mean, got nan"),
             (("evolve", "--ic", "gaussian:0,inf"), "needs a positive finite variance, got inf"),
+            (("evolve", "--ic", "gaussian:1e308,1"), "gaussian IC 'gaussian:1e308,1' has no positive mass on the grid"),
+            (("evolve", "--ic", "gaussian:40,0.5"), "gaussian IC 'gaussian:40,0.5' has no positive mass on the grid"),
         ],
         ids=[
             "config-unreadable", "grid-two-fields", "grid-not-a-number", "times-not-a-number",
@@ -541,6 +562,7 @@ class TestUsageErrors:
             "csv-drift-no-rows", "ic-csv-no-rows", "csv-drift-three-samples",
             "grid-infinite-end", "grid-infinite-spacing", "grid-box-infinite-end", "gamma-nan", "gamma-inf",
             "temperature-nan", "blackhole-temperature-inf", "ic-gaussian-nan-mean", "ic-gaussian-inf-variance",
+            "ic-gaussian-far-off-grid", "ic-gaussian-no-mass-on-grid",
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -283,6 +283,15 @@ class TestGridFunction:
         with pytest.raises(ValueError, match="unreliable on every node"):
             GridFunction._adopt(g, np.ones(shape), (4, 4))
 
+    @pytest.mark.parametrize("shape", [(11,), (2, 11)])
+    def test_read_only_values_shared_when_zero_outside_the_support(self, shape):
+        g = make_grid(0.0, 1.0, 11)
+        f = GridFunction(g, np.ones(shape), (3, 10))
+        assert GridFunction._adopt(g, f.values, (3, 10)).values is f.values
+        assert GridFunction._adopt(g, f.values, (2, 11)).values is f.values  # a wider support holds the zeros
+        with pytest.raises(ValueError, match="not 0 outside the support"):
+            GridFunction._adopt(g, f.values, (4, 10))
+
     @pytest.mark.parametrize("support", [(4, 4), (5, 3), (-1, 5), (0, 12)])
     def test_support_without_nodes_rejected(self, support):
         with pytest.raises(ValueError, match="unreliable on every node"):

@@ -10,8 +10,9 @@ from isofokker.grid import cumulative_integral, integrate, make_grid, sample, su
 from isofokker import isospectral
 from isofokker.isospectral import IsoParams, iso_pdf, reinstate
 from isofokker.oracle import CnConfig, cn_evolve
-from isofokker.scenarios import ou_scenario
+from isofokker.scenarios import box_scenario, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
+    Spectrum,
     build_hamiltonian,
     ground_state_to_drift,
     solve_spectrum,
@@ -139,8 +140,9 @@ class TestGramRoute:
 
     @pytest.mark.parametrize("lam", [0.5, -1.3, 1e3])
     def test_single_parameter_drift_matches_chained_route(self, ou_chain2, lam):
+        # the chained route's ground state through the same drift rule
         defo = reinstate(ou_chain2, IsoParams([lam]))
-        ref = ground_state_to_drift(reinstate_reference(ou_chain2, [lam])[0])
+        ref = isospectral._deformed_drift(ou_chain2.base, reinstate_reference(ou_chain2, [lam])[0])
         assert sup_diff(defo.drift.D, ref.D, window=(-8, 8)) <= 1e-12
 
     def test_sign_change_of_det_rejected(self, ou_chain2, monkeypatch):
@@ -182,14 +184,56 @@ class TestFineGridResolve:
 
 
 class TestDeformedDrift:
-    def test_closed_form_single_parameter(self, defo_half, ou_spectrum):
+    def test_closed_form_single_parameter(self, defo_half, ou_spectrum, ou_drift):
         # D^ = D - 2 phi0^2 / (I0 + lambda), I0 by quadrature oracle
         phi0 = ou_spectrum.state(0)
         I0 = cumulative_integral(phi0 * phi0)
-        base = ground_state_to_drift(phi0)
-        closed = base.D - 2.0 * phi0 * phi0 * (1.0 / (I0 + 0.5))
+        closed = ou_drift.D - 2.0 * phi0 * phi0 * (1.0 / (I0 + 0.5))
         got = defo_half.drift.D
-        assert sup_diff(got, closed, window=(-8, 8)) < 1e-4
+        assert sup_diff(got, closed, window=(-8, 8)) < 1e-8
+
+    def test_closed_form_order_four(self):
+        # the correction's derivative against phi0^2 / (I0 + lambda): stencil and Simpson, order 4
+        gaps = []
+        for n in (1001, 2001, 4001):
+            g = make_grid(-12.0, 12.0, n)
+            drift = ou_scenario(g)
+            spec = solve_spectrum(build_hamiltonian(drift.W), 7)
+            phi0 = spec.state(0)
+            closed = drift.D - 2.0 * phi0 * phi0 * (1.0 / (cumulative_integral(phi0 * phi0) + 0.5))
+            got = reinstate(build_chain(spec, 1), IsoParams([0.5])).drift.D
+            gaps.append(sup_diff(got, closed, window=(-8, 8)))
+        orders = np.log2(np.divide(gaps[:-1], gaps[1:]))
+        assert np.all((orders > 3.7) & (orders < 4.3)), gaps
+
+    def test_correction_is_bounded_on_every_node(self, defo_half, ou_drift):
+        # at n = 1, dW = ln(lambda + K_00) up to a constant, K_00 rising from 0 to 1
+        W, D = defo_half.drift.W, defo_half.drift.D
+        assert W.support == D.support == (0, ou_drift.grid.n_points)
+        assert np.ptp(W.values - ou_drift.W.values) == pytest.approx(math.log(1.5 / 0.5), abs=1e-6)
+        # held beyond the floor, the correction leaves the base drift in the tails
+        tails = np.abs(ou_drift.grid.x) >= 11.0
+        assert np.max(np.abs(D.values - ou_drift.D.values)[tails]) <= 1e-9
+
+    def test_ground_state_with_a_node_rejected(self, ou_spectrum):
+        with pytest.raises(ValueError, match="interior zeros"):
+            isospectral._deformed_drift(ou_spectrum, ou_spectrum.state(1))
+
+    @pytest.mark.parametrize("scenario", ["box", "schwarzschild", "ou-without-w"])
+    def test_base_without_zero_mode_keeps_the_ground_state_route(self, ou_spectrum, scenario):
+        # a wall ground state (or a spectrum that does not know its W) has no
+        # known prepotential: W^ = -ln|phi^_0|, bit for bit
+        if scenario == "box":
+            spec = solve_spectrum(build_hamiltonian(box_scenario(make_grid(0.0, 1.0, 2001)).W), 8)
+        elif scenario == "schwarzschild":
+            drift = schwarzschild_potential(1.0 / (4.0 * math.pi), make_grid(0.1, 3.0, 581))
+            spec = solve_spectrum(build_hamiltonian(drift.W), 8)
+        else:
+            spec = Spectrum(ou_spectrum.grid, ou_spectrum.values, energies=ou_spectrum.energies)
+        defo = reinstate(build_chain(spec, 2), IsoParams([0.5, 0.5]))
+        ref = ground_state_to_drift(defo.state(0))
+        for got, want in ((defo.drift.W, ref.W), (defo.drift.D, ref.D)):
+            assert got.support == want.support and got.values.tobytes() == want.values.tobytes()
 
     def test_large_lambda_recovers_original(self, ou_chain2, ou_grid):
         ref = sample(ou_grid, lambda x: -x)
@@ -286,3 +330,34 @@ class TestLambdaRecoveryOfStates:
                 defo = reinstate(ou_chain2, IsoParams([lam]))
                 dists.append(sup_diff(defo.states[k], ou_spectrum.state(k)))
             assert dists[1] < dists[0]
+
+
+def _iso_error(n: int, gamma: float, lambdas) -> float:
+    """Largest gap of 6 re-solved levels of the deformed drift from the base levels (OU on [-12, 12])."""
+    spec = solve_spectrum(build_hamiltonian(ou_scenario(make_grid(-12.0, 12.0, n), gamma).W), 7)
+    defo = reinstate(build_chain(spec, len(lambdas)), IsoParams(lambdas))
+    return float(np.max(np.abs(solve_spectrum(build_hamiltonian(defo.drift.W), 5).energies - spec.energies[:6])))
+
+
+class TestIsospectralityPerNode:
+    """The deformed prepotential W + dW keeps the base levels at order 2 (2001 nodes unless stated)."""
+
+    @pytest.mark.parametrize(
+        "gamma, lambdas, error",
+        [
+            (1.0, (0.5,), 2.32e-6),
+            (1.0, (0.5, 0.5), 3.82e-6),
+            (2.0, (0.05,), 6.13e-5),
+            (1.0, (-2.0,), 9.38e-7),
+            # no gain over -ln|phi^_0| (2.6e-5): the re-solve's own stencil error on
+            # this deformed potential (see the isospectral module docstring)
+            (1.0, (0.5, -2.0, 0.3), 2.54e-5),
+        ],
+    )
+    def test_table_rows(self, gamma, lambdas, error):
+        assert _iso_error(2001, gamma, lambdas) == pytest.approx(error, rel=0.05)
+
+    def test_order_two(self):
+        errors = [_iso_error(n, 1.0, (0.5, 0.5)) for n in (1001, 2001, 4001)]
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert np.all((orders > 1.9) & (orders < 2.1)), errors

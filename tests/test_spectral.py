@@ -17,7 +17,9 @@ from isofokker.grid import (
 )
 from isofokker.scenarios import box_scenario, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
+    Spectrum,
     build_hamiltonian,
+    ground_prepotential,
     ground_state_to_drift,
     solve_spectrum,
     unit_states,
@@ -255,11 +257,38 @@ class TestBasis:
     def test_impossible_inputs_rejected_at_construction(self, values, support, match):
         with pytest.raises(ValueError, match=match):
             spectral.Basis(make_grid(0.0, 1.0, 11), values, support, energies=[0.0])
+        with pytest.raises(ValueError, match=match):
+            spectral.Basis._adopt(make_grid(0.0, 1.0, 11), np.array(values), support, energies=[0.0])
 
     @pytest.mark.parametrize("energies", [[0.0, 1.0], 0.0])
     def test_one_state_per_level(self, energies):
         with pytest.raises(ValueError, match="one state per level"):
             spectral.Basis(make_grid(0.0, 1.0, 11), [[1.0] * 11], energies=energies)
+        with pytest.raises(ValueError, match="one state per level"):
+            spectral.Basis._adopt(make_grid(0.0, 1.0, 11), np.ones((1, 11)), energies=energies)
+
+    def test_adopted_basis_matches_a_copy_without_copying(self, ou_spectrum):
+        g = ou_spectrum.grid
+        built = np.array(ou_spectrum.values)
+        copied = Spectrum(g, built, energies=ou_spectrum.energies)
+        adopted = Spectrum._adopt(g, built, energies=ou_spectrum.energies)
+        assert adopted.values is built and not built.flags.writeable
+        assert adopted.values.tobytes() == copied.values.tobytes() and adopted.support == copied.support
+        assert adopted.energies.tobytes() == copied.energies.tobytes() and not adopted.energies.flags.writeable
+        # fields left out keep their defaults, and each spectrum keeps its own Wronskian states
+        assert adopted.W is None and adopted._crum_memo == {} and adopted._crum_memo is not copied._crum_memo
+
+    def test_producers_hand_over_their_stacks(self, ou_spectrum):
+        from isofokker.darboux import build_chain
+
+        chain = build_chain(ou_spectrum, 1)
+        assert chain.stage_states[0].values is ou_spectrum.values
+        assert chain.stage_states[1].values is ou_spectrum._crum_memo[1].values
+        assert not chain.stage_states[1].values.flags.writeable
+
+    def test_read_only_values_must_be_zero_outside_the_support(self, ou_spectrum):
+        with pytest.raises(ValueError, match="not 0 outside the support"):
+            spectral.Basis._adopt(ou_spectrum.grid, ou_spectrum.values, (500, 1500), energies=ou_spectrum.energies)
 
     def test_arithmetic_gives_a_plain_stack(self, ou_spectrum):
         phi0 = ou_spectrum.state(0)
@@ -356,3 +385,31 @@ class TestGroundStateToDrift:
     def test_noded_state_rejected(self, ou_spectrum):
         with pytest.raises(ValueError, match="zero"):
             ground_state_to_drift(ou_spectrum.state(1))
+
+
+class TestGroundPrepotential:
+    """The prepotential whose zero mode is a spectrum's ground state: W when known, else -ln|phi_0|."""
+
+    def test_zero_mode_gives_the_solved_w(self, ou_spectrum):
+        op = build_hamiltonian(ou_scenario(ou_spectrum.grid).W)
+        spec = solve_spectrum(op, 3)
+        assert spec.W is op.W and spec.energies[0] == 0.0
+        assert ground_prepotential(spec) is op.W
+
+    @pytest.mark.parametrize("scenario", ["box", "schwarzschild"])
+    def test_wall_ground_state_gives_minus_log(self, scenario):
+        if scenario == "box":
+            drift = box_scenario(make_grid(0.0, 1.0, 401))
+        else:
+            drift = schwarzschild_potential(1.0 / (4.0 * math.pi), make_grid(0.1, 3.0, 581))
+        spec = solve_spectrum(build_hamiltonian(drift.W), 3)
+        assert spec.W is not None and spec.energies[0] > 1.0  # no zero mode under Dirichlet walls
+        W = ground_prepotential(spec)
+        ref = ground_state_to_drift(spec.state(0)).W
+        assert W.support == ref.support and W.values.tobytes() == ref.values.tobytes()
+
+    def test_spectrum_without_w_gives_minus_log(self, ou_spectrum):
+        spec = Spectrum(ou_spectrum.grid, ou_spectrum.values, energies=ou_spectrum.energies)
+        assert spec.W is None
+        ref = ground_state_to_drift(ou_spectrum.state(0)).W
+        assert ground_prepotential(spec).values.tobytes() == ref.values.tobytes()
