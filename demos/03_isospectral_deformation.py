@@ -40,9 +40,9 @@ print(f"Gram entry K_00(c2) = {I0.values[-1]:.12f} (normalization)")
 print("\ntwo-parameter deformation at lambda = (0.5, 0.5):")
 deformation = reinstate(chain, IsoParams([0.5, 0.5]))
 resolved = solve_spectrum(build_hamiltonian(deformation.drift.W), 5)
-print("  re-solved eigenvalues of the deformed drift:")
+print("  re-solved eigenvalues of the deformed drift, against the base levels:")
 for k, eps in enumerate(resolved.energies):
-    print(f"    eps_{k} = {eps:+.6f}   (error {eps - k:+.2e})")
+    print(f"    eps_{k} = {eps:+.6f}   (gap {eps - spectrum.energies[k]:+.2e})")
 
 # single-parameter closed form: deformed drift is D - 2 phi0^2/(I0 + lambda)
 single = reinstate(chain, IsoParams([0.5]))

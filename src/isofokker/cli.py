@@ -429,7 +429,7 @@ def _schwarzschild_reconstruction(ctx) -> float:
 
 # The checks of `isofokker verify`, in report order; tests/test_acceptance.py runs the same list.
 VERIFY_CHECKS = (
-    Check("ou_spectrum_vs_integers", 1e-3, lambda c: _max_abs(c.spectrum.energies - np.arange(8))),
+    Check("ou_spectrum_vs_integers", 1e-7, lambda c: _max_abs(c.spectrum.energies - np.arange(8))),
     Check("ou_spectral_vs_cn_t1", 5e-4, lambda c: _cn_gap(c.drift, c.P0, c.P1)),
     Check("ou_mass_conservation", 1e-6, lambda c: abs(integrate(c.P1) - c.coeffs[0])),
     Check("darboux_shape_invariance", 1e-3, lambda c: sup_diff(c.partner.D, c.drift.D, window=(-8.0, 8.0))),
@@ -452,7 +452,7 @@ VERIFY_CHECKS = (
     Check("deformed_ground_closed_form", 1e-4, _deformed_ground_gap),
     Check(
         "isospectrality_resolve",
-        5e-3,
+        1e-5,
         lambda c: _max_abs(
             solve_spectrum(build_hamiltonian(c.deformation.drift.W), 5).energies
             - c.spectrum.energies[:6]

@@ -32,17 +32,16 @@ states vanish at Dirichlet walls) takes W^ = -ln|phi^_0|.  That reading
 carries the solver ground state's O(h^2) error, which grows into the
 tails, into the potential; the ratio phi^_0 / phi_0 shares most of it.
 On OU at 2001 nodes on [-12, 12], the re-solved deformed levels miss the
-original ones by 3.8e-6 at lambda = (0.5, 0.5), at order 2 (-ln|phi^_0|:
-4.3e-5).
+original ones by 1.5e-6 at lambda = (0.5, 0.5), at order 2 (-ln|phi^_0|:
+4.5e-5).
 
-What remains is the re-solve's own stencil error, not the drift: the
-3-point Laplacian shifts level k by -(h^2/12) int (phi_k'')^2, and that
-shift differs between the deformed states and the base ones.  Re-solving
-at 2001 nodes a deformed potential taken on 8x finer nodes reads 3.1e-6
-at lambda = (0.5, 0.5) and 2.1e-5 at (0.5, -2, 0.3), as that shift
-difference predicts to 1%.  So the mixed-sign vector gains nothing from
-W + dW (2.5e-5, against 2.6e-5 from -ln|phi^_0|): its sharper deformed
-states raise the floor itself.
+That remainder is the deformed drift's own O(h^2), not the re-solve: the
+levels ``solve_spectrum`` returns carry the 3-point stencil's
+(h^2/12) int (phi_k'')^2 correction, so re-solving at 2001 nodes a deformed
+potential taken on 8x finer nodes reads 2.4e-8 at lambda = (0.5, 0.5) and
+1.6e-7 at (0.5, -2, 0.3).  The mixed-sign vector gains as the others do:
+1.0e-5, against 4.2e-5 from -ln|phi^_0|; its sharper deformed states keep
+its drift error the largest of these.
 """
 
 from __future__ import annotations

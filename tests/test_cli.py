@@ -15,6 +15,7 @@ import isofokker.cli as cli
 import isofokker.darboux as darboux
 import isofokker.evolve as evolve
 import isofokker.isospectral as isospectral
+import isofokker.spectral as spectral
 from isofokker.cli import VERIFY_CHECKS, UsageError, _initial_condition, main
 from isofokker.grid import (
     GridFunction, cumulative_integral, derivative, integrate, make_grid, read_csv_columns,
@@ -660,6 +661,10 @@ def _scaled_drifts(monkeypatch):
     monkeypatch.setattr(isospectral, "ground_state_to_drift", scaled)
 
 
+def _uncorrected_levels(monkeypatch):
+    monkeypatch.setattr(spectral, "_stencil_correction", lambda op, levels, states: levels)
+
+
 @pytest.mark.parametrize(
     "inject, caught_by",
     [
@@ -668,8 +673,9 @@ def _scaled_drifts(monkeypatch):
         (_raised_stage_energies, "partner_spectral_vs_cn_t1"),
         (_scaled_lambdas, "deformed_ground_closed_form"),
         (_scaled_drifts, "darboux_shape_invariance"),
+        (_uncorrected_levels, "ou_spectrum_vs_integers"),
     ],
-    ids=["rates-x1.02", "alpha+0.02", "stage-energies+0.01", "lambda-x1.05", "drift-x1.01"],
+    ids=["rates-x1.02", "alpha+0.02", "stage-energies+0.01", "lambda-x1.05", "drift-x1.01", "uncorrected-levels"],
 )
 def test_verify_fails_under_injected_defect(capsys, tmp_path, monkeypatch, inject, caught_by):
     """Each defect verify must catch, injected by monkeypatch: exit 2, naming the check that sees it.

@@ -345,13 +345,11 @@ class TestIsospectralityPerNode:
     @pytest.mark.parametrize(
         "gamma, lambdas, error",
         [
-            (1.0, (0.5,), 2.32e-6),
-            (1.0, (0.5, 0.5), 3.82e-6),
-            (2.0, (0.05,), 6.13e-5),
-            (1.0, (-2.0,), 9.38e-7),
-            # no gain over -ln|phi^_0| (2.6e-5): the re-solve's own stencil error on
-            # this deformed potential (see the isospectral module docstring)
-            (1.0, (0.5, -2.0, 0.3), 2.54e-5),
+            (1.0, (0.5,), 7.37e-7),
+            (1.0, (0.5, 0.5), 1.525e-6),
+            (2.0, (0.05,), 1.95e-5),
+            (1.0, (-2.0,), 2.96e-7),
+            (1.0, (0.5, -2.0, 0.3), 1.014e-5),
         ],
     )
     def test_table_rows(self, gamma, lambdas, error):

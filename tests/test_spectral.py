@@ -68,13 +68,14 @@ class TestBuildHamiltonian:
 
 class TestSolveSpectrum:
     def test_ou_integer_eigenvalues(self, ou_spectrum):
-        assert np.max(np.abs(ou_spectrum.energies - np.arange(8))) < 1e-3
+        # 1.46e-8 measured; T's own eigenvalues are off by 2.52e-4
+        assert np.max(np.abs(ou_spectrum.energies - np.arange(8))) < 2e-8
 
     def test_box_eigenvalues(self):
         g = make_grid(0.0, 1.0, 2001)
         spec = solve_spectrum(build_hamiltonian(box_scenario(g).W), 3)
         exact = ((np.arange(4) + 1) * math.pi) ** 2
-        assert np.max(np.abs(spec.energies - exact) / exact) < 1e-3
+        assert np.max(np.abs(spec.energies - exact) / exact) < 1e-9
 
     def test_ground_energy_non_negative(self, ou_spectrum):
         assert ou_spectrum.energies[0] >= -1e-8
@@ -152,17 +153,30 @@ class TestSolveSpectrum:
     @pytest.mark.parametrize("a", [0.06, 0.07, 0.08, 0.1])
     def test_zero_mode_shift_resolves_tunnelling_split(self, a):
         # W = a (x^2 - 9)^2: on 2001 nodes the tunnelling split is resolved
-        # but level 1 sits below zero, inside the stencil's O(h^2) ground
-        # offset; shifting every level by e_0 keeps the split, which 4001
-        # nodes confirm
+        # but T's level 1 sits below zero, inside the stencil's O(h^2) ground
+        # offset; the levels are corrected and then shifted by the corrected
+        # e_0, which keeps the split to the digits 4001 nodes give
         def op(n):
             return build_hamiltonian(sample(make_grid(-12.0, 12.0, n), lambda x: a * (x**2 - 9.0) ** 2))
 
-        raw, _ = spectral._eigenpairs(op(2001), 3)
+        raw, vectors = spectral._eigenpairs(op(2001), 3)
         assert -1e-3 < raw[0] < raw[1] < 0.0
+        corrected = spectral._stencil_correction(op(2001), raw, _embedded(vectors))
         coarse = solve_spectrum(op(2001), 3).energies
-        assert np.array_equal(coarse, raw - raw[0])
-        assert coarse[1] == pytest.approx(solve_spectrum(op(4001), 3).energies[1], rel=1e-3)
+        assert np.array_equal(coarse, corrected - corrected[0])
+        assert coarse[1] == pytest.approx(solve_spectrum(op(4001), 3).energies[1], rel=1e-5)
+
+    def test_correction_touches_only_the_levels(self):
+        # the states are the unit form of T's own vectors, byte for byte;
+        # only the levels take the h^2/12 term
+        op = _ou(1.0, 2001)
+        levels, vectors = spectral._eigenpairs(op, 7)
+        full = _embedded(vectors)
+        spec = solve_spectrum(op, 7)
+        assert np.array_equal(spec.values, unit_states(GridFunction(op.grid, full)).values)
+        corrected = spectral._stencil_correction(op, levels, full)
+        assert np.all(corrected > levels)
+        assert np.array_equal(spec.energies, corrected - corrected[0])
 
     @pytest.mark.parametrize("a, b", [(0.1, 3.5), (0.2, 4.0)])
     def test_inseparable_wells_rejected(self, ou_grid, a, b):
@@ -177,6 +191,48 @@ def _ou(gamma: float, n: int):
 
 def _double_well(a: float):
     return build_hamiltonian(sample(make_grid(-12.0, 12.0, 2001), lambda x: a * (x**2 - 9.0) ** 2))
+
+
+def _embedded(vectors: np.ndarray) -> np.ndarray:
+    """Interior eigenvector columns as (k, N) rows with zero Dirichlet ends."""
+    full = np.zeros((vectors.shape[1], vectors.shape[0] + 2))
+    full[:, 1:-1] = vectors.T
+    return full
+
+
+def _ou_errors(gamma: float, levels: int):
+    def errors(n: int) -> np.ndarray:
+        energies = solve_spectrum(_ou(gamma, n), 7).energies[:levels]
+        return energies - gamma * np.arange(levels)
+
+    return errors
+
+
+def _box_errors(n: int) -> np.ndarray:
+    energies = solve_spectrum(build_hamiltonian(box_scenario(make_grid(0.0, 1.0, n)).W), 3).energies
+    return energies - ((np.arange(4) + 1) * math.pi) ** 2
+
+
+class TestFourthOrderLevels:
+    """The corrected levels converge at order 4: the max error over the levels, 201-1601 nodes."""
+
+    @pytest.mark.parametrize(
+        "errors",
+        [
+            _ou_errors(1.0, 8),
+            _ou_errors(2.0, 8),
+            # levels 0-3 only: at gamma = 0.5 the states reach the walls at
+            # +-12, and levels 5-7 level off at 7.8e-9 / 7.8e-8 / 6.3e-7 from
+            # 2001 nodes on, a floor set by the Dirichlet walls, not the stencil
+            _ou_errors(0.5, 4),
+            _box_errors,
+        ],
+        ids=["ou-1", "ou-2", "ou-0.5-levels-0-3", "box"],
+    )
+    def test_order_four(self, errors):
+        worst = [np.max(np.abs(errors(n))) for n in (201, 401, 801, 1601)]
+        orders = np.log2(np.divide(worst[:-1], worst[1:]))
+        assert np.all((orders > 3.8) & (orders < 4.2)), worst
 
 
 REFERENCE_CASES = [
