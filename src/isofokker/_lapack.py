@@ -1,7 +1,7 @@
 """The four LAPACK routines the package calls, out of the compiled wrapper scipy ships.
 
 ``dstebz``/``dstein`` (tridiagonal eigenpairs, in ``spectral``) and
-``dgttrf``/``dgttrs`` (tridiagonal LU, in ``oracle``) are read from the
+``dgttrf``/``dgttrs`` (tridiagonal LU, in ``oracle`` and ``spectral``) are read from the
 extension ``scipy.linalg._flapack``, whose routines the ``lapack`` module of
 ``scipy.linalg`` re-exports: they are the same objects, in either import
 order.  The ``scipy.linalg`` package itself, whose ``__init__`` loads

@@ -432,7 +432,7 @@ VERIFY_CHECKS = (
     Check("ou_spectrum_vs_integers", 1e-7, lambda c: _max_abs(c.spectrum.energies - np.arange(8))),
     Check("ou_spectral_vs_cn_t1", 5e-4, lambda c: _cn_gap(c.drift, c.P0, c.P1)),
     Check("ou_mass_conservation", 1e-6, lambda c: abs(integrate(c.P1) - c.coeffs[0])),
-    Check("darboux_shape_invariance", 1e-3, lambda c: sup_diff(c.partner.D, c.drift.D, window=(-8.0, 8.0))),
+    Check("darboux_shape_invariance", 2e-6, lambda c: sup_diff(c.partner.D, c.drift.D, window=(-8.0, 8.0))),
     Check(
         "partner_spectral_vs_cn_t1",
         5e-4,
@@ -449,10 +449,10 @@ VERIFY_CHECKS = (
             iso_pdf(c.deformation, c.coeffs, 1.0),
         ),
     ),
-    Check("deformed_ground_closed_form", 1e-4, _deformed_ground_gap),
+    Check("deformed_ground_closed_form", 3e-9, _deformed_ground_gap),
     Check(
         "isospectrality_resolve",
-        1e-5,
+        1e-8,
         lambda c: _max_abs(
             solve_spectrum(build_hamiltonian(c.deformation.drift.W), 5).energies
             - c.spectrum.energies[:6]

@@ -242,6 +242,11 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
 # 4th-order one-sided stencils for the two boundary bands (divided by 12h).
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
+# The edge rows 0, 1, -2, -1 as columns: row j of each is the j-th node in
+# from its wall and that node's weight (the right side mirrors the left).
+_EDGE_ROWS = np.array([0, 1, -2, -1])
+_EDGE_NODES = np.stack([np.arange(5), np.arange(5), -1 - np.arange(5), -1 - np.arange(5)], axis=1)
+_EDGE_WEIGHTS = np.stack([_EDGE0, _EDGE1, -_EDGE1, -_EDGE0], axis=1)
 
 
 def derivative(f: GridFunction) -> GridFunction:
@@ -251,18 +256,17 @@ def derivative(f: GridFunction) -> GridFunction:
     nodes, so a grid of fewer raises ValueError.  Each cut side of the
     support moves in by the stencil half-width 2; a side at the wall stays,
     as the one-sided rows read only reliable nodes there.  A stack gives
-    each function's derivative, bit for bit except in the two left edge
-    rows, whose 5-term sums BLAS orders differently for one row and a stack.
+    each function's derivative bit for bit: the edge rows, too, are
+    elementwise sums, added in node order from the wall.
     """
     v, h, n = f.values, f.grid.h, f.grid.n_points
     if n < 5:
         raise ValueError(f"the 4th-order derivative stencil reads 5 nodes; got {n} samples")
     out = np.empty_like(v)
     out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
-    out[..., 0] = v[..., :5] @ _EDGE0 / (12.0 * h)
-    out[..., 1] = v[..., :5] @ _EDGE1 / (12.0 * h)
-    out[..., -2] = -(v[..., :-6:-1] @ _EDGE1) / (12.0 * h)
-    out[..., -1] = -(v[..., :-6:-1] @ _EDGE0) / (12.0 * h)
+    terms = v[..., _EDGE_NODES] * _EDGE_WEIGHTS  # (..., 5, 4): term j of each edge row
+    edges = terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :] + terms[..., 4, :]
+    out[..., _EDGE_ROWS] = edges / (12.0 * h)
     a, z = f.support
     return GridFunction._adopt(f.grid, out, (a + 2 if a > 0 else 0, z - 2 if z < n else n))
 

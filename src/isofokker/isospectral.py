@@ -28,20 +28,14 @@ constant at each wall (at n = 1, dW = ln(lambda + K_00) up to a constant,
 so D^ = D - 2 phi_0^2 / (lambda + K_00)), and it is held at its end values
 where either ground state falls below the floor, so W^ and D^ are known on
 every node.  Any other base (the box, the thermal potential, whose ground
-states vanish at Dirichlet walls) takes W^ = -ln|phi^_0|.  That reading
-carries the solver ground state's O(h^2) error, which grows into the
-tails, into the potential; the ratio phi^_0 / phi_0 shares most of it.
-On OU at 2001 nodes on [-12, 12], the re-solved deformed levels miss the
-original ones by 1.5e-6 at lambda = (0.5, 0.5), at order 2 (-ln|phi^_0|:
-4.5e-5).
-
-That remainder is the deformed drift's own O(h^2), not the re-solve: the
-levels ``solve_spectrum`` returns carry the 3-point stencil's
-(h^2/12) int (phi_k'')^2 correction, so re-solving at 2001 nodes a deformed
-potential taken on 8x finer nodes reads 2.4e-8 at lambda = (0.5, 0.5) and
-1.6e-7 at (0.5, -2, 0.3).  The mixed-sign vector gains as the others do:
-1.0e-5, against 4.2e-5 from -ln|phi^_0|; its sharper deformed states keep
-its drift error the largest of these.
+states vanish at Dirichlet walls) takes W^ = -ln|phi^_0|, which is cut where
+phi^_0 falls below the floor.  The states ``solve_spectrum`` returns are
+order 4, and so is the deformed drift: on OU at 2001 nodes on [-12, 12],
+the re-solved deformed levels miss the original ones by 3.5e-9 at
+lambda = (0.5, 0.5) and 1.6e-8 at (0.5, -2, 0.3) (-ln|phi^_0|: 3.7e-9 and
+1.7e-8).  The 3-point matrix's own, order-2 eigenvectors gave 1.5e-6 and
+1.0e-5 there (-ln|phi^_0|: 4.5e-5 and 4.2e-5): their ground state's error
+grows into the tails, and the ratio phi^_0 / phi_0 shares most of it.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from isofokker.grid import (
 )
 from isofokker.isospectral import IsoParams
 from isofokker.scenarios import ou_scenario, schwarzschild_potential
-from isofokker.spectral import DriftSpec, build_hamiltonian, ground_state_to_drift, solve_spectrum
+from isofokker.spectral import DriftSpec, build_hamiltonian, ground_state_to_drift, solve_spectrum, unit_states
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -665,6 +665,12 @@ def _uncorrected_levels(monkeypatch):
     monkeypatch.setattr(spectral, "_stencil_correction", lambda op, levels, states: levels)
 
 
+def _unpolished_states(monkeypatch):
+    monkeypatch.setattr(
+        spectral, "_numerov_states", lambda op, levels, states: unit_states(GridFunction(op.grid, states))
+    )
+
+
 @pytest.mark.parametrize(
     "inject, caught_by",
     [
@@ -674,8 +680,12 @@ def _uncorrected_levels(monkeypatch):
         (_scaled_lambdas, "deformed_ground_closed_form"),
         (_scaled_drifts, "darboux_shape_invariance"),
         (_uncorrected_levels, "ou_spectrum_vs_integers"),
+        (_unpolished_states, "darboux_shape_invariance"),
     ],
-    ids=["rates-x1.02", "alpha+0.02", "stage-energies+0.01", "lambda-x1.05", "drift-x1.01", "uncorrected-levels"],
+    ids=[
+        "rates-x1.02", "alpha+0.02", "stage-energies+0.01", "lambda-x1.05", "drift-x1.01", "uncorrected-levels",
+        "unpolished-states",
+    ],
 )
 def test_verify_fails_under_injected_defect(capsys, tmp_path, monkeypatch, inject, caught_by):
     """Each defect verify must catch, injected by monkeypatch: exit 2, naming the check that sees it.

@@ -340,22 +340,22 @@ def _iso_error(n: int, gamma: float, lambdas) -> float:
 
 
 class TestIsospectralityPerNode:
-    """The deformed prepotential W + dW keeps the base levels at order 2 (2001 nodes unless stated)."""
+    """The deformed prepotential W + dW keeps the base levels at order 4 (2001 nodes unless stated)."""
 
     @pytest.mark.parametrize(
         "gamma, lambdas, error",
         [
-            (1.0, (0.5,), 7.37e-7),
-            (1.0, (0.5, 0.5), 1.525e-6),
-            (2.0, (0.05,), 1.95e-5),
-            (1.0, (-2.0,), 2.96e-7),
-            (1.0, (0.5, -2.0, 0.3), 1.014e-5),
+            (1.0, (0.5,), 1.15e-9),
+            (1.0, (0.5, 0.5), 3.47e-9),
+            (2.0, (0.05,), 4.98e-8),
+            (1.0, (-2.0,), 4.97e-10),
+            (1.0, (0.5, -2.0, 0.3), 1.645e-8),
         ],
     )
     def test_table_rows(self, gamma, lambdas, error):
         assert _iso_error(2001, gamma, lambdas) == pytest.approx(error, rel=0.05)
 
-    def test_order_two(self):
+    def test_order_four(self):
         errors = [_iso_error(n, 1.0, (0.5, 0.5)) for n in (1001, 2001, 4001)]
         orders = np.log2(np.divide(errors[:-1], errors[1:]))
-        assert np.all((orders > 1.9) & (orders < 2.1)), errors
+        assert np.all((orders > 3.8) & (orders < 4.2)), errors

@@ -13,9 +13,10 @@ from isofokker.grid import (
     interior_sign_changes,
     make_grid,
     sample,
+    simpson_weights,
     sup_diff,
 )
-from isofokker.scenarios import box_scenario, ou_scenario, schwarzschild_potential
+from isofokker.scenarios import box_scenario, ou_reference_state, ou_scenario, schwarzschild_potential
 from isofokker.spectral import (
     Spectrum,
     build_hamiltonian,
@@ -28,7 +29,7 @@ from isofokker.spectral import (
 
 @pytest.fixture(scope="module")
 def fine_ou():
-    """Finer grid for the O(h^2)-limited residual invariants."""
+    """Finer grid for the stencil-limited residual invariants."""
     g = make_grid(-12.0, 12.0, 6001)
     drift = ou_scenario(g)
     return g, drift, solve_spectrum(build_hamiltonian(drift.W), 7)
@@ -89,12 +90,12 @@ class TestSolveSpectrum:
             for j in range(8)
             for k in range(8)
         )
-        assert worst <= 1e-6
+        assert worst <= 1e-12
 
     def test_eigen_residual(self, fine_ou):
-        # ||(-phi'' + V phi) - eps phi||_inf / ||phi||_inf <= 1e-4 inside;
-        # the gap to the continuum ODE is O(h^2 k^2), so this runs on the
-        # finer grid
+        # ||(-phi'' + V phi) - eps phi||_inf / ||phi||_inf inside, with phi''
+        # from the 4th-order derivative taken twice: 5.2e-9 measured at
+        # k = 7 (3.4e-5 from the 3-point matrix's own vectors)
         _, drift, spec = fine_ou
         op = build_hamiltonian(drift.W)
         for k in (0, 3, 7):
@@ -104,7 +105,7 @@ class TestSolveSpectrum:
             a, z = resid.support
             # past the one-sided rows of the repeated stencil
             err = np.max(np.abs(resid.values[max(a, 5) : min(z, len(resid.values) - 5)]))
-            assert err <= 1e-4 * np.max(np.abs(phi.values))
+            assert err <= 5e-8 * np.max(np.abs(phi.values))
 
     def test_ground_state_annihilated(self, fine_ou):
         # phi_0' + W' phi_0 ~ 0
@@ -112,7 +113,8 @@ class TestSolveSpectrum:
         phi0 = spec.state(0)
         w1 = derivative(drift.W)
         resid = derivative(phi0) + w1 * phi0
-        assert np.max(np.abs(resid.values)) <= 1e-6 * np.max(np.abs(phi0.values))
+        # 7.9e-12 measured (5.3e-7 from the 3-point matrix's own vector)
+        assert np.max(np.abs(resid.values)) <= 1e-10 * np.max(np.abs(phi0.values))
 
     def test_ground_state_positive_and_unit_density(self, ou_spectrum):
         phi0 = ou_spectrum.state(0)
@@ -166,17 +168,18 @@ class TestSolveSpectrum:
         assert np.array_equal(coarse, corrected - corrected[0])
         assert coarse[1] == pytest.approx(solve_spectrum(op(4001), 3).energies[1], rel=1e-5)
 
-    def test_correction_touches_only_the_levels(self):
-        # the states are the unit form of T's own vectors, byte for byte;
-        # only the levels take the h^2/12 term
+    def test_levels_corrected_and_states_polished(self):
+        # the energies are T's levels with the h^2/12 term, bit for bit; the
+        # states are T's vectors after one Numerov inverse-iteration step at
+        # those levels, taken before the zero-mode shift
         op = _ou(1.0, 2001)
         levels, vectors = spectral._eigenpairs(op, 7)
         full = _embedded(vectors)
         spec = solve_spectrum(op, 7)
-        assert np.array_equal(spec.values, unit_states(GridFunction(op.grid, full)).values)
         corrected = spectral._stencil_correction(op, levels, full)
         assert np.all(corrected > levels)
         assert np.array_equal(spec.energies, corrected - corrected[0])
+        assert np.array_equal(spec.values, spectral._numerov_states(op, corrected, full).values)
 
     @pytest.mark.parametrize("a, b", [(0.1, 3.5), (0.2, 4.0)])
     def test_inseparable_wells_rejected(self, ou_grid, a, b):
@@ -233,6 +236,63 @@ class TestFourthOrderLevels:
         worst = [np.max(np.abs(errors(n))) for n in (201, 401, 801, 1601)]
         orders = np.log2(np.divide(worst[:-1], worst[1:]))
         assert np.all((orders > 3.8) & (orders < 4.2)), worst
+
+
+def _ou_state_errors(gamma: float, states: int, window: float = 12.0):
+    def errors(n: int) -> np.ndarray:
+        grid = make_grid(-12.0, 12.0, n)
+        spec = solve_spectrum(_ou(gamma, n), 7)
+        inside = np.abs(grid.x) <= window
+        return np.array(
+            [np.max(np.abs(spec.values[k] - ou_reference_state(grid, k, gamma).values)[inside]) for k in range(states)]
+        )
+
+    return errors
+
+
+class TestFourthOrderStates:
+    """The polished states converge at order 4 to the closed forms: the sup error over the states, 201-1601 nodes."""
+
+    @pytest.mark.parametrize(
+        "errors",
+        [
+            _ou_state_errors(1.0, 8),
+            _ou_state_errors(2.0, 8),
+            # states 0-2 on |x| <= 8 only: at gamma = 0.5 the Dirichlet walls
+            # at +-12 hold each state at zero where the Hermite function is
+            # not (8e-9 for state 0, 1.9e-6 for state 3 at the wall), and state
+            # 3 levels off at 5.7e-10 on |x| <= 8 from 1601 nodes on
+            _ou_state_errors(0.5, 3, window=8.0),
+        ],
+        ids=["ou-1", "ou-2", "ou-0.5-states-0-2"],
+    )
+    def test_order_four(self, errors):
+        worst = [np.max(errors(n)) for n in (201, 401, 801, 1601)]
+        orders = np.log2(np.divide(worst[:-1], worst[1:]))
+        assert np.all((orders > 3.8) & (orders < 4.2)), worst
+
+    def test_box_states_exact(self):
+        # sampled sines are eigenvectors of both the 3-point and the Numerov
+        # matrix, so the box has no discretization error to converge: the
+        # states match sqrt(2) sin((k+1) pi x) to round-off at every size
+        for n in (201, 401, 801, 1601):
+            g = make_grid(0.0, 1.0, n)
+            spec = solve_spectrum(build_hamiltonian(box_scenario(g).W), 3)
+            exact = np.sqrt(2.0) * np.sin(np.outer(np.arange(1, 5), math.pi * g.x))
+            assert np.max(np.abs(spec.values - exact)) <= 1e-11
+
+    @pytest.mark.parametrize("a", [0.06, 0.07])
+    def test_tunnelling_pair_orthonormal_and_symmetric(self, a):
+        # one inverse-iteration step leaves a pair this close mixed by
+        # (lambda_0 - sigma)/(lambda_1 - sigma), up to 5.9e-9 in the Gram
+        # matrix at a = 0.07; the Gram-Schmidt pass takes that back out
+        spec = solve_spectrum(_double_well(a), 7)
+        w = simpson_weights(spec.grid)
+        gram = (spec.values * w) @ spec.values.T
+        assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
+        parity = (-1.0) ** np.arange(8)[:, None]
+        # measured 1.0e-9 (a = 0.06) and 6.1e-10 (a = 0.07)
+        assert np.max(np.abs(spec.values[:, ::-1] - parity * spec.values)) <= 1e-8
 
 
 REFERENCE_CASES = [
