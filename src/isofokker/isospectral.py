@@ -31,8 +31,8 @@ every node.  Any other base (the box, the thermal potential, whose ground
 states vanish at Dirichlet walls) takes W^ = -ln|phi^_0|, which is cut where
 phi^_0 falls below the floor.  The states ``solve_spectrum`` returns are
 order 4, and so is the deformed drift: on OU at 2001 nodes on [-12, 12],
-the re-solved deformed levels miss the original ones by 3.5e-9 at
-lambda = (0.5, 0.5) and 1.6e-8 at (0.5, -2, 0.3) (-ln|phi^_0|: 3.7e-9 and
+the re-solved deformed levels miss the original ones by 3.4e-9 at
+lambda = (0.5, 0.5) and 1.6e-8 at (0.5, -2, 0.3) (-ln|phi^_0|: 3.6e-9 and
 1.7e-8).  The 3-point matrix's own, order-2 eigenvectors gave 1.5e-6 and
 1.0e-5 there (-ln|phi^_0|: 4.5e-5 and 4.2e-5): their ground state's error
 grows into the tails, and the ratio phi^_0 / phi_0 shares most of it.

@@ -7,16 +7,22 @@ H = -d^2/dx^2 + W'^2 - W''.  The stationary density is the squared,
 node-free ground state, and the drift is recovered from any node-free
 ground state as D = 2 (ln|phi_0|)'.
 
-H is discretized by the 3-point stencil, whose eigenpairs are order 2 in h.
-The levels take the stencil's leading error back out: each eigenvalue of
-the tridiagonal matrix is raised by (h^2/12) int (phi_k'')^2 dx with
-phi_k'' = (V - e_k) phi_k, the classical correction of finite-difference
-Sturm-Liouville eigenvalues (Paine, de Hoog & Anderssen, Computing 26
-(1981) 123), so the levels are order 4.  The states are the matrix's
-eigenvectors after one inverse-iteration step at those levels on the
-Numerov scheme, the matrix form of -phi'' + (V - e) phi = 0 that is order
-4 on the same tridiagonal structure (Pillai, Goglio & Walker, Am. J. Phys.
-80 (2012) 1017), so the states are order 4 too.
+H is discretized on the Numerov scheme, the matrix form of
+-phi'' + (V - e) phi = 0 that is order 4 on the tridiagonal structure of
+the 3-point stencil (Pillai, Goglio & Walker, Am. J. Phys. 80 (2012)
+1017): the levels and states are the lowest eigenpairs of its pencil, both
+order 4 in h.  They are found by nested iteration (Brandt, McCormick &
+Ruge, SIAM J. Sci. Stat. Comput. 4 (1983) 244).  The 3-point matrix of the
+same V on a coarse subgrid of the same walls is solved by bisection and
+inverse iteration, its eigenvalues raised by the classical correction
+(h^2/12) int (phi_k'')^2 dx of finite-difference Sturm-Liouville
+eigenvalues (Paine, de Hoog & Anderssen, Computing 26 (1981) 123), and
+each coarse pair, interpolated onto the grid, is refined by inverse
+iteration on the fine pencil.  One Sturm count of the fine 3-point matrix
+certifies that no level was missed.  When the count, the order of the
+levels or the convergence of a pair fails, or the grid is too small to
+coarsen, the same refinement starts from the fine 3-point matrix's own
+eigenpairs instead.
 """
 
 from __future__ import annotations
@@ -118,10 +124,10 @@ class Basis(GridFunction):
 class Spectrum(Basis):
     """Lowest eigenpairs, energies strictly increasing, states L2-normalized.
 
-    ``energies`` are the levels of -d2/dx2 + V to order h^4: the eigenvalues
-    of the tridiagonal matrix plus the stencil correction of
-    ``solve_spectrum``.  The states are order 4 too: the matrix's
-    eigenvectors polished on the Numerov scheme, Simpson-orthonormal.
+    ``energies`` are the levels of -d2/dx2 + V to order h^4: the lowest
+    eigenvalues of the Numerov pencil (see ``solve_spectrum``), shifted by
+    the ground level when that is the zero mode.  The states are its
+    eigenvectors, order 4 too, Simpson-orthonormal.
 
     Sign convention: each state rises positively off the left wall
     (phi_k'(c1) > 0), which makes downstream chains reproducible run to run.
@@ -204,6 +210,17 @@ ISOLATION_TOL = 1e-4
 # Levels closer than this are bisected again to full precision, so that
 # inverse iteration can tell them apart (a tunnelling pair, say).
 CLUSTER_GAP = 1e-3
+# Nested solve: the coarse grid keeps every r-th node, r the largest power
+# of two that leaves an odd node count and at least this many intervals per
+# coarse level solved (``_coarse_stride``): 251 nodes for kmax 7 on 1001,
+# 2001 or 4001 nodes.  A grid that would keep every node is not coarsened.
+COARSE_INTERVALS = 16
+# Inverse-iteration steps per level on the Numerov pencil (``_numerov_eigenpairs``).
+NUMEROV_STEPS = 2
+# A nested state counts as converged when its Numerov pencil residual, for
+# a unit vector, is below this fraction of ||T||_1 (``_pencil_residual``;
+# converged states read <= 4e-16).
+RESIDUAL_TOL = 1e-12
 
 
 def _bisect(op: SchrodingerOperator, count: int, tol: float):
@@ -227,7 +244,15 @@ def _rayleigh(op: SchrodingerOperator, vectors: np.ndarray) -> np.ndarray:
 
 
 def _eigenpairs(op: SchrodingerOperator, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest kmax+1 eigenvalues of T and its unit interior eigenvectors, uncorrected and unshifted."""
+    """Lowest kmax+1 eigenvalues of T and its unit interior eigenvectors, uncorrected and unshifted.
+
+    Bisection with Sturm-sequence bracketing (LAPACK stebz) locates the
+    lowest kmax+2 levels to an absolute ISOLATION_TOL; only when two lie
+    within CLUSTER_GAP of each other are the lowest kmax+1 bisected again to
+    full precision, and levels still equal raise RuntimeError.  Inverse
+    iteration (LAPACK stein) gives the vectors v, and the eigenvalues are
+    their Rayleigh quotients v^T T v.
+    """
     levels, iblock, isplit = _bisect(op, kmax + 2, ISOLATION_TOL)
     if np.min(np.diff(levels)) < CLUSTER_GAP:
         levels, iblock, isplit = _bisect(op, kmax + 1, 0.0)
@@ -240,8 +265,13 @@ def _eigenpairs(op: SchrodingerOperator, kmax: int) -> tuple[np.ndarray, np.ndar
 
 
 def _stencil_correction(op: SchrodingerOperator, levels: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """T's levels e_k raised by (h^2/12) sum_i ((V_i - e_k) v_ik)^2 (see ``solve_spectrum``).
+    """T's levels e_k raised by (h^2/12) sum_i ((V_i - e_k) v_ik)^2: the refinement's starting shifts.
 
+    The 3-point stencil is d2/dx2 + (h^2/12) d4/dx4 + O(h^4), so e_k is low
+    by (h^2/12) int (phi_k'')^2 dx, and phi_k'' = (V - e_k) phi_k needs no
+    derivative (Paine, de Hoog & Anderssen, Computing 26 (1981) 123).  The
+    corrected level is order 4, within O(h^4) of the Numerov eigenvalue,
+    which makes it the shift ``_numerov_eigenpairs`` starts from.
     ``states`` holds T's unit l2 vectors v as (kmax+1, N) rows with zero
     Dirichlet ends.
     """
@@ -249,28 +279,50 @@ def _stencil_correction(op: SchrodingerOperator, levels: np.ndarray, states: np.
     return levels + op.grid.h**2 / 12.0 * np.einsum("ki,ki->k", curvature, curvature)
 
 
-def _numerov_states(op: SchrodingerOperator, levels: np.ndarray, states: np.ndarray) -> GridFunction:
-    """T's vectors polished to the Numerov scheme's eigenvectors, Simpson-orthonormal, in unit form.
+def _numerov_eigenpairs(
+    op: SchrodingerOperator, levels: np.ndarray, states: np.ndarray
+) -> tuple[np.ndarray, GridFunction]:
+    """Numerov eigenpairs refined from starting pairs; the states Simpson-orthonormal, in unit form.
 
-    One inverse-iteration step per level on the Numerov pencil of
-    -d2/dx2 + V on the interior nodes: (A - sigma_k B) x = B v_k with
-    B = tridiag(1, 10, 1)/12, A = -tridiag(1, -2, 1)/h^2 + B diag(V) and
-    sigma_k = ``levels[k]``, by one LAPACK gttrf/gttrs each.  Then one
+    The Numerov pencil of -d2/dx2 + V on the interior nodes is A y = mu B y
+    with D2 = tridiag(1, -2, 1)/h^2, B = I + (h^2/12) D2 = tridiag(1, 10, 1)/12
+    and A = -D2 + B diag(V).  B commutes with D2, so B^-1 A is symmetric:
+    its eigenvectors are l2-orthogonal, and the inverse-iteration step
+    (A - sigma B) y = B x is (B^-1 A - sigma) y = x.  Each level in turn,
+    from sigma = ``levels[k]`` and x = ``states[k]`` at unit l2 norm, takes
+    NUMEROV_STEPS such steps, by one LAPACK gttrf/gttrs each.  After each
+    step y is deflated against the lower levels' refined vectors, then
+    sigma <- sigma + (y.x)/(y.y), which is y's exact Rayleigh quotient, and
+    x <- y/|y|.  A start within O(H^2) of the eigenvector at a shift within
+    O(H^4) of its level, H the spacing the start was solved on, leaves
+    ~H^6 after the first step and round-off after the second.  Then one
     modified Gram-Schmidt pass in level order under the Simpson weights,
-    and ``unit_states``.  ``states`` holds T's unit l2 vectors as
-    (kmax+1, N) rows with zero Dirichlet ends.
+    and ``unit_states``.  ``states`` holds the starting vectors as
+    (kmax+1, N) rows with zero Dirichlet ends; returns the refined levels
+    and the states.
     """
     off = -1.0 / op.grid.h**2
-    shifted = (op.V.values[1:-1] - levels[:, None]) / 12.0
-    rhs = (states[:, :-2] + 10.0 * states[:, 1:-1] + states[:, 2:]) / 12.0
+    v = op.V.values[1:-1]
+    sigma = np.array(levels, dtype=float)
     out = np.zeros_like(states)
-    for k in range(len(levels)):
-        s = shifted[k]
-        dl, d, du, du2, ipiv, info = dgttrf(off + s[:-1], 10.0 * s - 2.0 * off, off + s[1:])
-        if info == 0:
-            out[k, 1:-1], info = dgttrs(dl, d, du, du2, ipiv, rhs[k])
-        if info != 0:
-            raise RuntimeError(f"Numerov inverse iteration failed: LAPACK gttrf/gttrs info {info}")
+    refined = out[:, 1:-1]
+    for k in range(len(sigma)):
+        x = states[k, 1:-1] / np.sqrt(states[k, 1:-1] @ states[k, 1:-1])
+        for _ in range(NUMEROV_STEPS):
+            s = (v - sigma[k]) / 12.0
+            dl, d, du, du2, ipiv, info = dgttrf(off + s[:-1], 10.0 * s - 2.0 * off, off + s[1:])
+            if info == 0:
+                bx = 10.0 * x
+                bx[1:] += x[:-1]
+                bx[:-1] += x[1:]
+                y, info = dgttrs(dl, d, du, du2, ipiv, bx / 12.0)
+            if info != 0:
+                raise RuntimeError(f"Numerov inverse iteration failed: LAPACK gttrf/gttrs info {info}")
+            y -= (refined[:k] @ y) @ refined[:k]
+            yy = y @ y
+            sigma[k] += (y @ x) / yy
+            x = y / np.sqrt(yy)
+        refined[k] = x
     w = simpson_weights(op.grid)
     weighted = np.empty_like(out)
     for k, x in enumerate(out):
@@ -278,54 +330,147 @@ def _numerov_states(op: SchrodingerOperator, levels: np.ndarray, states: np.ndar
             x -= (weighted[j] @ x) * out[j]
         x /= np.sqrt(w @ (x * x))
         weighted[k] = w * x
-    return unit_states(GridFunction._adopt(op.grid, out))
+    return sigma, unit_states(GridFunction._adopt(op.grid, out))
+
+
+def _embedded(vectors: np.ndarray) -> np.ndarray:
+    """Interior eigenvector columns as (k, N) rows with zero Dirichlet ends."""
+    full = np.zeros((vectors.shape[1], vectors.shape[0] + 2))
+    full[:, 1:-1] = vectors.T
+    return full
+
+
+def _norm1(op: SchrodingerOperator) -> float:
+    """||T||_1, the scale of the operator's round-off."""
+    return float(np.max(np.abs(op.diag))) + 2.0 / op.grid.h**2
+
+
+def _pencil_residual(op: SchrodingerOperator, states: np.ndarray) -> np.ndarray:
+    """min over mu of ||(A - mu B) x_k|| for each unit l2 row x_k of ``states``, over ||T||_1.
+
+    Zero for an eigenvector of the Numerov pencil (A and B as in
+    ``_numerov_eigenpairs``), whatever level it is paired with; the
+    minimizing mu is (Bx.Ax)/(Bx.Bx).  ``states`` holds (kmax+1, N) rows
+    with zero Dirichlet ends.
+    """
+    x = states / np.sqrt(np.einsum("ki,ki->k", states, states))[:, None]
+    u = op.V.values * x
+    bx = (x[:, :-2] + 10.0 * x[:, 1:-1] + x[:, 2:]) / 12.0
+    ax = (2.0 * x[:, 1:-1] - x[:, :-2] - x[:, 2:]) / op.grid.h**2 + (u[:, :-2] + 10.0 * u[:, 1:-1] + u[:, 2:]) / 12.0
+    ax -= (np.einsum("ki,ki->k", bx, ax) / np.einsum("ki,ki->k", bx, bx))[:, None] * bx
+    return np.sqrt(np.einsum("ki,ki->k", ax, ax)) / _norm1(op)
+
+
+def _coarse_stride(n_intervals: int, levels: int) -> int:
+    """The coarse grid's node stride r for ``levels`` coarse levels (see COARSE_INTERVALS); 1 when too small."""
+    r = 1
+    while n_intervals % (4 * r) == 0 and n_intervals // (2 * r) >= COARSE_INTERVALS * levels:
+        r *= 2
+    return r
+
+
+def _coarse_start(op: SchrodingerOperator, kmax: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The nested route's starts: levels, (kmax+1, N) vectors, and the cut to certify them by.
+
+    T of the same V on every r-th node (``_coarse_stride``) gives its
+    lowest kmax+2 levels with the stencil correction and its vectors; the
+    starts are levels 0..kmax and their vectors interpolated linearly onto
+    the grid, and the cut lies midway between coarse levels kmax and
+    kmax+1.  None when the grid is too small to coarsen or the coarse
+    levels cannot be separated.
+    """
+    n = op.grid.n_points
+    r = _coarse_stride(n - 1, kmax + 2)
+    if r == 1:
+        return None
+    grid = Grid1D(op.grid.c1, op.grid.c2, (n - 1) // r + 1)
+    V = op.V.values[::r]
+    coarse = SchrodingerOperator(
+        grid, GridFunction._adopt(grid, V), 2.0 / grid.h**2 + V[1:-1], np.full(grid.n_points - 3, -1.0 / grid.h**2)
+    )
+    try:
+        levels, vectors = _eigenpairs(coarse, kmax + 1)
+    except RuntimeError:
+        return None
+    vectors = _embedded(vectors)
+    levels = _stencil_correction(coarse, levels, vectors)
+    t = np.arange(r) / r
+    lo, hi = vectors[: kmax + 1, :-1, None], vectors[: kmax + 1, 1:, None]
+    starts = np.zeros((kmax + 1, n))
+    starts[:, :-1] = (lo + (hi - lo) * t).reshape(kmax + 1, -1)
+    return levels[: kmax + 1], starts, 0.5 * (levels[kmax] + levels[kmax + 1])
+
+
+def _certified(op: SchrodingerOperator, energies: np.ndarray, states: GridFunction, cut: float) -> bool:
+    """Whether refined nested pairs are the lowest ones (see ``solve_spectrum``)."""
+    floor = np.min(op.V.values[1:-1]) - 1.0  # below every eigenvalue of T
+    # an absolute tolerance as wide as (floor, cut] stops stebz at its counts
+    count = dstebz(op.diag, op.offdiag, 1, floor, cut, 0, 0, cut - floor, "B")[0]
+    return bool(
+        count == len(energies)
+        and energies[-1] < cut
+        and np.all(np.diff(energies) > 3.0 * RESIDUAL_TOL * _norm1(op))
+        and np.max(_pencil_residual(op, states.values)) <= RESIDUAL_TOL
+    )
+
+
+def _nested(op: SchrodingerOperator, kmax: int) -> tuple[np.ndarray, GridFunction] | None:
+    """The Numerov eigenpairs refined from a coarse solve, or None when the route declines."""
+    start = _coarse_start(op, kmax)
+    if start is None:
+        return None
+    levels, starts, cut = start
+    energies, states = _numerov_eigenpairs(op, levels, starts)
+    return (energies, states) if _certified(op, energies, states, cut) else None
+
+
+def _fallback(op: SchrodingerOperator, kmax: int) -> tuple[np.ndarray, GridFunction]:
+    """The Numerov eigenpairs refined from T's own eigenvectors at their corrected levels."""
+    levels, vectors = _eigenpairs(op, kmax)
+    vectors = _embedded(vectors)
+    return _numerov_eigenpairs(op, _stencil_correction(op, levels, vectors), vectors)
 
 
 def solve_spectrum(op: SchrodingerOperator, kmax: int) -> Spectrum:
-    """Lowest kmax+1 eigenpairs of the tridiagonal operator.
+    """Lowest kmax+1 eigenpairs of the Numerov pencil of -d2/dx2 + V.
 
-    Bisection with Sturm-sequence bracketing (LAPACK stebz) locates the
-    lowest kmax+2 levels to an absolute ISOLATION_TOL, enough to isolate
-    them for inverse iteration.  Only when two of them lie within
-    CLUSTER_GAP of each other are the lowest kmax+1 bisected again to full
-    precision; levels that are still equal raise RuntimeError.  Inverse
-    iteration (LAPACK stein) gives T's vectors v_k, and T's eigenvalues e_k
-    are their Rayleigh quotients v^T T v.
+    The levels and states are order 4 in h (OU on 2001 nodes: levels off by
+    1.16e-8, against 2.5e-4 for the 3-point matrix T's own eigenvalues and
+    1.46e-8 for their stencil correction).  Two routes give them, and both
+    end in the one refinement kernel, ``_numerov_eigenpairs``.
 
-    The energies are not the e_k but the corrected levels
-    e_k + (h^2/12) sum_i ((V_i - e_k) v_ik)^2 over the unit l2 vectors v:
-    the 3-point stencil is d2/dx2 + (h^2/12) d4/dx4 + O(h^4), so e_k is low
-    by (h^2/12) int (phi_k'')^2 dx, and phi_k'' = (V - e_k) phi_k needs no
-    derivative.  This makes the levels order 4 (OU on 2001 nodes: 1.5e-8
-    against 2.5e-4 for the e_k) at about 1% of the solve.
+    The nested route (``_nested``) solves T of the same V on every r-th
+    node (COARSE_INTERVALS) and refines each coarse pair on the fine pencil.
+    Its result is taken only when certified (``_certified``): one Sturm
+    count of the fine T finds exactly kmax+1 eigenvalues below the cut
+    midway between coarse levels kmax and kmax+1; every refined level lies
+    below that cut; every state is a converged pencil eigenvector
+    (``_pencil_residual`` within RESIDUAL_TOL, which puts an eigenvalue
+    within 1.5 RESIDUAL_TOL ||T||_1 of its level, as ||B^-1|| <= 1.5); and
+    the levels increase by more than twice that, so that they are distinct.
+    A feature of V that the coarse grid cannot see, say a well narrower
+    than its spacing, fails the certification; so does a tunnelling pair
+    that round-off cannot split, which the fallback refuses in turn.
+    Otherwise, or when the grid is too small to coarsen, the fallback route
+    (``_fallback``) refines the fine T's own eigenpairs (``_eigenpairs``:
+    bisection, and full precision only for levels within CLUSTER_GAP) from
+    their corrected levels.  Both routes agree to round-off where both
+    apply (OU: levels within 3e-13).
 
-    The states are T's vectors after one inverse-iteration step per level
-    on the Numerov pencil at the corrected level, before the zero-mode
-    shift, with one Simpson-weighted Gram-Schmidt pass (``_numerov_states``).
-    The corrected level lies within O(h^4) of the Numerov eigenvalue and
-    T's vector within O(h^2) of its vector, so one step leaves ~1e-13: the
-    states are order 4 (OU on 2001 nodes, states 0-7: 3.7e-9 against
-    6.9e-5 for T's vectors) at about 20% of the solve.
-
-    A corrected ground energy within discretization error of zero is the
-    zero mode: the factorized operator of a conservative process is
-    non-negative with the stationary state as exact zero mode, and the
-    stencil otherwise leaks its residual offset into every temporal factor.
-    Then it is subtracted from every level, which puts the ground level at
-    0 and keeps each gap.  The energies returned must be strictly
-    increasing; levels the grid cannot resolve raise RuntimeError.  The
-    spectrum keeps the operator's W.
+    A ground energy within discretization error of zero is the zero mode:
+    the factorized operator of a conservative process is non-negative with
+    the stationary state as exact zero mode, and the stencil otherwise leaks
+    its residual offset into every temporal factor.  Then it is subtracted
+    from every level, which puts the ground level at 0 and keeps each gap.
+    The energies returned must be strictly increasing; levels the grid
+    cannot resolve raise RuntimeError.  The spectrum keeps the operator's W.
     """
     n = op.grid.n_points
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     if not kmax + 1 < n / 4:
         raise ValueError(f"kmax={kmax} too large for {n} nodes (need kmax+1 < n/4)")
-    levels, vectors = _eigenpairs(op, kmax)
-    full = np.zeros((kmax + 1, n))
-    full[:, 1:-1] = vectors.T
-    energies = _stencil_correction(op, levels, full)
-    states = _numerov_states(op, energies, full)
+    energies, states = _nested(op, kmax) or _fallback(op, kmax)
     if abs(energies[0]) <= ZERO_MODE_SNAP:
         energies -= energies[0]
     if np.any(np.diff(energies) <= 0):

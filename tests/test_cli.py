@@ -662,12 +662,20 @@ def _scaled_drifts(monkeypatch):
 
 
 def _uncorrected_levels(monkeypatch):
-    monkeypatch.setattr(spectral, "_stencil_correction", lambda op, levels, states: levels)
+    # the levels skip the Numerov update: they stay at the refinement's starting shifts
+    refine = spectral._numerov_eigenpairs
+    monkeypatch.setattr(
+        spectral, "_numerov_eigenpairs", lambda op, levels, states: (np.array(levels), refine(op, levels, states)[1])
+    )
 
 
 def _unpolished_states(monkeypatch):
+    # the states stay at the refinement's unrefined starts
+    refine = spectral._numerov_eigenpairs
     monkeypatch.setattr(
-        spectral, "_numerov_states", lambda op, levels, states: unit_states(GridFunction(op.grid, states))
+        spectral,
+        "_numerov_eigenpairs",
+        lambda op, levels, states: (refine(op, levels, states)[0], unit_states(GridFunction(op.grid, states))),
     )
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import eigenpairs_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isofokker.spectral as spectral
 from isofokker.grid import (
@@ -69,7 +71,8 @@ class TestBuildHamiltonian:
 
 class TestSolveSpectrum:
     def test_ou_integer_eigenvalues(self, ou_spectrum):
-        # 1.46e-8 measured; T's own eigenvalues are off by 2.52e-4
+        # 1.16e-8 measured (1.46e-8 for T's corrected levels); T's own
+        # eigenvalues are off by 2.52e-4
         assert np.max(np.abs(ou_spectrum.energies - np.arange(8))) < 2e-8
 
     def test_box_eigenvalues(self):
@@ -156,30 +159,38 @@ class TestSolveSpectrum:
     def test_zero_mode_shift_resolves_tunnelling_split(self, a):
         # W = a (x^2 - 9)^2: on 2001 nodes the tunnelling split is resolved
         # but T's level 1 sits below zero, inside the stencil's O(h^2) ground
-        # offset; the levels are corrected and then shifted by the corrected
-        # e_0, which keeps the split to the digits 4001 nodes give
+        # offset; the Numerov levels are shifted by their own ground level,
+        # which keeps the split to the digits 4001 nodes give
         def op(n):
             return build_hamiltonian(sample(make_grid(-12.0, 12.0, n), lambda x: a * (x**2 - 9.0) ** 2))
 
-        raw, vectors = spectral._eigenpairs(op(2001), 3)
+        raw, _ = spectral._eigenpairs(op(2001), 3)
         assert -1e-3 < raw[0] < raw[1] < 0.0
-        corrected = spectral._stencil_correction(op(2001), raw, _embedded(vectors))
+        numerov, _ = spectral._fallback(op(2001), 3)
         coarse = solve_spectrum(op(2001), 3).energies
-        assert np.array_equal(coarse, corrected - corrected[0])
+        assert coarse[0] == 0.0
+        assert np.max(np.abs(coarse - (numerov - numerov[0]))) <= 1e-12
         assert coarse[1] == pytest.approx(solve_spectrum(op(4001), 3).energies[1], rel=1e-5)
 
     def test_levels_corrected_and_states_polished(self):
-        # the energies are T's levels with the h^2/12 term, bit for bit; the
-        # states are T's vectors after one Numerov inverse-iteration step at
-        # those levels, taken before the zero-mode shift
+        # the energies are the refinement kernel's Numerov levels, started
+        # from T's vectors at their corrected levels (T's levels with the
+        # h^2/12 term), and taken before the zero-mode shift; the states are
+        # its vectors, Numerov pencil eigenvectors to round-off
         op = _ou(1.0, 2001)
         levels, vectors = spectral._eigenpairs(op, 7)
-        full = _embedded(vectors)
-        spec = solve_spectrum(op, 7)
+        full = spectral._embedded(vectors)
         corrected = spectral._stencil_correction(op, levels, full)
         assert np.all(corrected > levels)
-        assert np.array_equal(spec.energies, corrected - corrected[0])
-        assert np.array_equal(spec.values, spectral._numerov_states(op, corrected, full).values)
+        numerov, states = spectral._numerov_eigenpairs(op, corrected, full)
+        # the Numerov update moves the corrected levels by O(h^4): 3.0e-9 measured
+        assert 1e-9 < np.max(np.abs(numerov - corrected)) < 1e-8
+        spec = solve_spectrum(op, 7)
+        assert np.max(np.abs(spec.energies - (numerov - numerov[0]))) <= 1e-12
+        assert np.max(np.abs(spec.values - states.values)) <= 1e-11
+        # 1.1e-16 measured; T's own vectors read 9.4e-9
+        assert np.max(spectral._pencil_residual(op, spec.values)) <= 1e-14
+        assert np.max(spectral._pencil_residual(op, full)) > 1e-10
 
     @pytest.mark.parametrize("a, b", [(0.1, 3.5), (0.2, 4.0)])
     def test_inseparable_wells_rejected(self, ou_grid, a, b):
@@ -196,13 +207,6 @@ def _double_well(a: float):
     return build_hamiltonian(sample(make_grid(-12.0, 12.0, 2001), lambda x: a * (x**2 - 9.0) ** 2))
 
 
-def _embedded(vectors: np.ndarray) -> np.ndarray:
-    """Interior eigenvector columns as (k, N) rows with zero Dirichlet ends."""
-    full = np.zeros((vectors.shape[1], vectors.shape[0] + 2))
-    full[:, 1:-1] = vectors.T
-    return full
-
-
 def _ou_errors(gamma: float, levels: int):
     def errors(n: int) -> np.ndarray:
         energies = solve_spectrum(_ou(gamma, n), 7).energies[:levels]
@@ -211,13 +215,8 @@ def _ou_errors(gamma: float, levels: int):
     return errors
 
 
-def _box_errors(n: int) -> np.ndarray:
-    energies = solve_spectrum(build_hamiltonian(box_scenario(make_grid(0.0, 1.0, n)).W), 3).energies
-    return energies - ((np.arange(4) + 1) * math.pi) ** 2
-
-
 class TestFourthOrderLevels:
-    """The corrected levels converge at order 4: the max error over the levels, 201-1601 nodes."""
+    """The Numerov levels converge at order 4: the max error over the levels, 201-1601 nodes."""
 
     @pytest.mark.parametrize(
         "errors",
@@ -228,14 +227,27 @@ class TestFourthOrderLevels:
             # +-12, and levels 5-7 level off at 7.8e-9 / 7.8e-8 / 6.3e-7 from
             # 2001 nodes on, a floor set by the Dirichlet walls, not the stencil
             _ou_errors(0.5, 4),
-            _box_errors,
         ],
-        ids=["ou-1", "ou-2", "ou-0.5-levels-0-3", "box"],
+        ids=["ou-1", "ou-2", "ou-0.5-levels-0-3"],
     )
     def test_order_four(self, errors):
         worst = [np.max(np.abs(errors(n))) for n in (201, 401, 801, 1601)]
         orders = np.log2(np.divide(worst[:-1], worst[1:]))
         assert np.all((orders > 3.8) & (orders < 4.2)), worst
+
+    def test_box_levels_exact(self):
+        # V = 0 and the sampled sines are Numerov eigenvectors, so the box
+        # levels are the pencil's closed form at every size,
+        # mu_k = (12/h^2) (1 - cos t_k) / (5 + cos t_k) with t_k = (k+1) pi h,
+        # order 4 against (k+1)^2 pi^2 but 2.0e-9 off at 1601 nodes, where
+        # an order read off a ladder meets round-off; up to 7.2e-10 measured,
+        # held to 1e-10 on the spectrum's scale as TestAgainstFullBisection is
+        for n in (201, 401, 801, 1601, 2001):
+            g = make_grid(0.0, 1.0, n)
+            spec = solve_spectrum(build_hamiltonian(box_scenario(g).W), 3)
+            cos = np.cos((np.arange(4) + 1) * math.pi * g.h)
+            exact = 12.0 / g.h**2 * (1.0 - cos) / (5.0 + cos)
+            assert np.max(np.abs(spec.energies - exact)) <= 1e-10 * max(1.0, exact[-1]), n
 
 
 def _ou_state_errors(gamma: float, states: int, window: float = 12.0):
@@ -283,15 +295,16 @@ class TestFourthOrderStates:
 
     @pytest.mark.parametrize("a", [0.06, 0.07])
     def test_tunnelling_pair_orthonormal_and_symmetric(self, a):
-        # one inverse-iteration step leaves a pair this close mixed by
-        # (lambda_0 - sigma)/(lambda_1 - sigma), up to 5.9e-9 in the Gram
-        # matrix at a = 0.07; the Gram-Schmidt pass takes that back out
+        # deflation keeps the refined vectors of a pair this close l2-
+        # orthogonal, and the Gram-Schmidt pass makes them Simpson-orthonormal
         spec = solve_spectrum(_double_well(a), 7)
         w = simpson_weights(spec.grid)
         gram = (spec.values * w) @ spec.values.T
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
         parity = (-1.0) ** np.arange(8)[:, None]
-        # measured 1.0e-9 (a = 0.06) and 6.1e-10 (a = 0.07)
+        # measured 4.2e-9 (a = 0.06) and 2.1e-9 (a = 0.07): round-off mixes
+        # a pair in proportion to ||T|| / split (1.0e-9 and 6.1e-10 from T's
+        # vectors after one refinement step)
         assert np.max(np.abs(spec.values[:, ::-1] - parity * spec.values)) <= 1e-8
 
 
@@ -340,17 +353,132 @@ class TestAgainstFullBisection:
         ids=["double-well", "ou"],
     )
     def test_full_precision_only_for_close_levels(self, monkeypatch, make_op, escalates):
+        # each matrix bisected, the coarse one of the nested route and the
+        # fine one of the fallback, escalates only for close levels
         op = make_op()
-        tols = []
+        tols = {}
         bisect = spectral._bisect
 
         def recording(op, count, tol):
-            tols.append(tol)
+            tols.setdefault(op.grid.n_points, []).append(tol)
             return bisect(op, count, tol)
 
         monkeypatch.setattr(spectral, "_bisect", recording)
         solve_spectrum(op, 0)
-        assert tols == ([spectral.ISOLATION_TOL, 0.0] if escalates else [spectral.ISOLATION_TOL])
+        expected = [spectral.ISOLATION_TOL, 0.0] if escalates else [spectral.ISOLATION_TOL]
+        assert tols and all(t == expected for t in tols.values()), tols
+
+
+def _operator(grid, V: np.ndarray):
+    """The 3-point operator of a sampled V, assembled as ``build_hamiltonian`` assembles it."""
+    h = grid.h
+    return spectral.SchrodingerOperator(
+        grid, GridFunction(grid, V), 2.0 / h**2 + V[1:-1], np.full(grid.n_points - 3, -1.0 / h**2)
+    )
+
+
+def _assert_routes_agree(op, nested, kmax: int):
+    """Nested eigenpairs against the fallback's: levels to 1e-11 relative, states to 1e-9.
+
+    The fallback is solved one level higher, so that every level's gap is
+    known.  A state within CLUSTER_GAP of a neighbour (a tunnelling pair) is
+    fixed only up to a rotation within its cluster, which round-off sets in
+    proportion to ||T|| / gap on either route: such a state must lie in the
+    span of the fallback's cluster to 1e-9.
+    """
+    energies, states = nested
+    ref_e, ref_s = spectral._fallback(op, kmax + 1)
+    assert np.max(np.abs(energies - ref_e[: kmax + 1]) / np.maximum(1.0, np.abs(ref_e[: kmax + 1]))) <= 1e-11
+    cluster = np.r_[0, np.cumsum(np.diff(ref_e) >= spectral.CLUSTER_GAP)]
+    w = simpson_weights(op.grid)
+    for k, phi in enumerate(states.values):
+        span = ref_s.values[cluster == cluster[k]]
+        if len(span) == 1:
+            err = np.max(np.abs(phi - span[0]))
+        else:
+            err = np.max(np.abs(phi - ((phi * w) @ span.T) @ span))
+        assert err <= 1e-9, (k, err)
+
+
+class TestNestedRoute:
+    """The coarse-to-fine route against the fallback from the fine T's own eigenpairs."""
+
+    @pytest.mark.parametrize("make_op, kmax", REFERENCE_CASES)
+    def test_routes_agree(self, make_op, kmax):
+        # the refinement from the coarse starts agrees with the fallback
+        # whether certified or not; it is declined only for a tunnelling
+        # pair, which straddles the cut between coarse levels kmax and
+        # kmax+1 (the wells at kmax 0) or is closer than the certification
+        # separates levels (a = 0.1: 2.9e-7 apart)
+        op = make_op()
+        levels, starts, cut = spectral._coarse_start(op, kmax)
+        refined = spectral._numerov_eigenpairs(op, levels, starts)
+        _assert_routes_agree(op, refined, kmax)
+        nested = spectral._nested(op, kmax)
+        if nested is None:
+            assert np.min(np.diff([*levels, 2.0 * cut - levels[-1]])) < spectral.CLUSTER_GAP
+        else:
+            assert nested[0].tobytes() == refined[0].tobytes()
+            assert nested[1].values.tobytes() == refined[1].values.tobytes()
+
+    @pytest.mark.parametrize(
+        "centre, width, depth, rejected_by",
+        [(6.0, 0.03, 200.0, "count"), (0.048, 0.01, 200.0, "residual")],
+        ids=["extra-level", "unconverged"],
+    )
+    def test_unresolved_spike_falls_back(self, centre, width, depth, rejected_by):
+        # a well narrower than the coarse spacing (0.096 on 251 nodes), centred
+        # midway between two coarse nodes, which the coarse solve cannot see.
+        # At x = 6 it binds one more level below the cut, and the refined
+        # levels are converged pencil eigenpairs, below the cut and
+        # increasing, so only the Sturm count of T rejects them.  At the
+        # centre it binds a level and raises the even ones, so the coarse
+        # starts match no fine pair and the refinement does not converge.
+        # Either way the nested route declines and the fallback's result is
+        # returned.
+        g = make_grid(-12.0, 12.0, 2001)
+        op = _operator(g, g.x**2 / 2.0 - depth * np.exp(-(((g.x - centre) / width) ** 2)))
+        levels, starts, cut = spectral._coarse_start(op, 7)
+        energies, states = spectral._numerov_eigenpairs(op, levels, starts)
+        assert energies[-1] < cut and np.all(np.diff(energies) > 0)
+        converged = np.max(spectral._pencil_residual(op, states.values)) <= spectral.RESIDUAL_TOL
+        assert converged == (rejected_by == "count")
+        assert spectral._nested(op, 7) is None
+        spec = solve_spectrum(op, 7)
+        fallback_e, fallback_s = spectral._fallback(op, 7)
+        assert spec.energies.tobytes() == fallback_e.tobytes()
+        assert spec.values.tobytes() == fallback_s.values.tobytes()
+        # the fallback holds the bound level that the refinement missed
+        assert spec.energies[0] < energies[0] - 1.0
+
+    def test_level_above_the_cut_declined(self):
+        # T's level 7 lies O(h^2) below the pencil's: a cut between the two
+        # still counts kmax+1 levels of T below it, and the refined level 7
+        # above it is refused
+        op = _ou(1.0, 2001)
+        energies, states = spectral._fallback(op, 7)
+        t_levels, _ = spectral._eigenpairs(op, 7)
+        assert spectral._certified(op, energies, states, energies[-1] + 0.5)
+        assert not spectral._certified(op, energies, states, 0.5 * (t_levels[-1] + energies[-1]))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        lower=st.lists(st.floats(-1.0, 1.0), max_size=2),
+        top=st.floats(0.1, 1.0),
+        n=st.sampled_from([401, 1001, 2001]),
+        kmax=st.integers(0, 7),
+    )
+    def test_confining_prepotentials(self, lower, top, n, kmax):
+        # W = 64 sum_j a_j (x/8)^{2j} on [-8, 8], a_J > 0 the top coefficient:
+        # single and double wells up to x^6, each term up to 64 at the walls.
+        # When the nested route is taken it agrees with the fallback.
+        coeffs = [*lower, top]
+        g = make_grid(-8.0, 8.0, n)
+        W = sample(g, lambda x: 64.0 * sum(a * (x / 8.0) ** (2 * j) for j, a in enumerate(coeffs, 1)))
+        op = build_hamiltonian(W)
+        nested = spectral._nested(op, kmax)
+        if nested is not None:
+            _assert_routes_agree(op, nested, kmax)
 
 
 class TestBasis:
